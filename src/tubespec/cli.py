@@ -24,8 +24,10 @@ from .discrete_hodge import s1_case_study
 from .geometry import DegenerationSchedule, schedule_to_json
 from .jsonio import write_csv, write_json
 from .ode_compare import run_suite
-from .sturm_liouville import problem_from_json, problem_to_json, \
-    solve_cross_validated, solve_fd, solve_shooting, spectrum_csv_rows
+from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
+    solve_fd, solve_shooting, spectrum_csv_rows
+# unused here, but perfbench's tracer looks it up as cli.solve_cross_validated
+from .sturm_liouville import solve_cross_validated  # noqa: F401
 from .tube_spectrum import SweepOptions, spectrum_csv_rows as sweep_csv_rows, sweep
 
 EXIT_OK = 0
@@ -87,9 +89,12 @@ def cmd_sl_solve(args, config: dict) -> int:
         primary = solve_shooting(problem, window)
         results["shooting"] = primary.to_json()
     elif method == "cross":
-        results["fd"] = solve_fd(problem, grid_n, window).to_json()
-        results["shooting"] = solve_shooting(problem, window).to_json()
-        primary = solve_cross_validated(problem, window, grid_n=grid_n)
+        # the same three steps as solve_cross_validated, each run once
+        fd = solve_fd(problem, grid_n, window)
+        sh = solve_shooting(problem, window, fd_seeds=fd)
+        primary = cross_check(fd, sh, window)
+        results["fd"] = fd.to_json()
+        results["shooting"] = sh.to_json()
         results["cross_validated"] = primary.to_json()
     else:
         raise ValueError(f"method must be fd, shooting, or cross, got {method!r}")

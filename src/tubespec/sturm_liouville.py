@@ -10,6 +10,13 @@ inside a finite eigenvalue window.  Two methods that share no code path:
     which q is frozen at its midpoint, with eigenvalues located by root
     finding on the right-end phase.
 
+Shooting may take FD eigenvalues as seeds for its root brackets.  A seeded
+bracket is used only after phase evaluations at its ends show the sign
+change; otherwise it is widened, up to the whole window.  The phase is
+monotone in lambda, so every accepted bracket holds the same unique root:
+seeds save phase evaluations but cannot change which roots shooting finds,
+and the window count still comes from the phase alone.
+
 The piecewise-frozen propagation replaces naive Runge-Kutta stepping of the
 phase ODE: the tube potentials reach ~1e8 where any explicit stepper needs
 absurd step counts, while the frozen-cell transfer is exact per cell and
@@ -20,6 +27,7 @@ within combined error bars.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +42,7 @@ __all__ = [
     "solve_fd",
     "solve_shooting",
     "solve_cross_validated",
+    "cross_check",
     "count_below",
     "attractive_boundary_constant",
     "spectral_floor",
@@ -187,8 +196,8 @@ def _fd_arrays(problem: SLProblem, n: int):
     if problem.bc_right.is_robin:
         d[-1] += -2.0 * problem.bc_right.beta / h
         e[-1] = -math.sqrt(2.0) / h**2
-    assert np.all(np.isfinite(d)) and np.all(np.isfinite(e)), \
-        "non-symmetric or non-finite assembly"
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise RuntimeError("non-finite FD assembly")
     return d, e
 
 
@@ -257,43 +266,27 @@ def _theta_target(problem: SLProblem) -> float:
     return math.pi if not bc.is_robin else math.atan2(1.0, bc.beta)
 
 
-def _advance_phase(theta: float, c: float, h: float) -> float:
-    """Exact phase update across one cell where lambda - q == c is constant."""
-    if c > 0.0:
-        # oscillatory: the modified phase atan2(om a, a') advances by om h
-        # exactly; stable down to om -> 0 where it degrades to the linear map
-        om = math.sqrt(c)
-        k = round(theta / math.pi)
-        delta = theta - k * math.pi
-        phi = k * math.pi + math.atan2(om * math.sin(delta), math.cos(delta)) + om * h
-        k2 = round(phi / math.pi)
-        d2 = phi - k2 * math.pi
-        return k2 * math.pi + math.atan2(math.sin(d2), om * math.cos(d2))
-    n_in = math.floor(theta / math.pi)
-    delta = theta - n_in * math.pi
-    a, b = math.sin(delta), math.cos(delta)
-    if c == 0.0:
-        a2, b2 = a + h * b, b
-    else:
-        # forbidden region: cosh/sinh transfer scaled by exp(-om h), so no
-        # overflow; expm1 keeps 1 - E accurate when om h is tiny
-        om = math.sqrt(-c)
-        em = -math.expm1(-2.0 * om * h)          # 1 - exp(-2 om h)
-        E = 1.0 - em
-        a2 = 0.5 * ((1.0 + E) * a + em / om * b)
-        b2 = 0.5 * (om * em * a + (1.0 + E) * b)
-    if a2 > 0.0:
-        return n_in * math.pi + math.atan2(a2, b2)
-    if a2 == 0.0:
-        return (n_in + 1) * math.pi
-    return (n_in + 1) * math.pi + math.atan2(-a2, -b2)
+# cells per numpy batch in the phase loop: the per-cell inputs are computed
+# with numpy a chunk at a time, so a long mesh never holds full-length
+# temporaries next to its cached midpoint samples
+_CHUNK = 4096
 
 
 def _phase_engine(problem: SLProblem):
-    """Callable (lam, n) -> right-end phase, caching midpoint samples per n."""
+    """Callable (lam, n) -> right-end phase, caching midpoint samples per n.
+
+    Each cell with lambda - q frozen at c advances the phase exactly.  For
+    c > 0 (oscillatory) the modified phase atan2(om a, a') grows by om h,
+    which stays stable down to om -> 0 where it degrades to the linear map.
+    For c < 0 (forbidden) the cosh/sinh transfer is scaled by exp(-om h), so
+    nothing overflows, and expm1 keeps 1 - exp(-2 om h) accurate when om h
+    is tiny.
+    """
     theta0 = _theta_start(problem)
     qfun = _vectorized(problem.q)
     cache: dict[int, np.ndarray] = {}
+    pi = math.pi
+    sin, cos, atan2, floor = math.sin, math.cos, math.atan2, math.floor
 
     def theta_at(lam: float, n: int) -> float:
         qbar = cache.get(n)
@@ -306,8 +299,34 @@ def _phase_engine(problem: SLProblem):
             cache[n] = qbar
         h = problem.length / n
         theta = theta0
-        for qc in qbar:
-            theta = _advance_phase(theta, lam - qc, h)
+        for start in range(0, n, _CHUNK):
+            c = lam - qbar[start:start + _CHUNK]
+            om = np.sqrt(np.abs(c))
+            em = -np.expm1(-2.0 * om * h)            # 1 - exp(-2 om h)
+            for ci, omi, emi in zip(c.tolist(), om.tolist(), em.tolist()):
+                if ci > 0.0:
+                    k = round(theta / pi)
+                    delta = theta - k * pi
+                    phi = k * pi + atan2(omi * sin(delta), cos(delta)) + omi * h
+                    k = round(phi / pi)
+                    delta = phi - k * pi
+                    theta = k * pi + atan2(sin(delta), omi * cos(delta))
+                    continue
+                n_in = floor(theta / pi)
+                delta = theta - n_in * pi
+                a, b = sin(delta), cos(delta)
+                if ci == 0.0:
+                    a2, b2 = a + h * b, b
+                else:
+                    E = 1.0 - emi
+                    a2 = 0.5 * ((1.0 + E) * a + emi / omi * b)
+                    b2 = 0.5 * (omi * emi * a + (1.0 + E) * b)
+                if a2 > 0.0:
+                    theta = n_in * pi + atan2(a2, b2)
+                elif a2 == 0.0:
+                    theta = (n_in + 1) * pi
+                else:
+                    theta = (n_in + 1) * pi + atan2(-a2, -b2)
         return theta
 
     return theta_at
@@ -359,26 +378,79 @@ def _window_indices(theta_lo, theta_hi, target):
     return list(range(max(0, j_min), j_max + 1))
 
 
-def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL) -> SpectrumResult:
+# Root brackets.  Root j is first bracketed in [g - w, g + w] around an
+# estimate g; the bracket is kept only when the phase at its ends shows the
+# sign change, and w grows by _WIDEN up to the whole window otherwise.
+# Because theta(m1; lam) is increasing, any bracket that passes holds the
+# same unique root, so a wrong estimate costs phase evaluations, never a
+# different answer.  An FD seed with error bar e starts at w = _FD_WIDTH e.
+# Every w is at least _MIN_WIDTH max(1, |g|), about the smallest shift of a
+# root between meshes n and 2n at the default phase tolerance.
+_FD_WIDTH = 2.0
+_MIN_WIDTH = 1e-8
+_WIDEN = 4.0
+
+
+def _fd_guesses(fd_seeds, js) -> dict:
+    """{j: (estimate, half-width)} from FD results whose count matches js."""
+    if fd_seeds is None or len(fd_seeds.eigenvalues) != len(js):
+        return {}
+    return {j: (lam, _FD_WIDTH * err) for j, lam, err in
+            zip(js, fd_seeds.eigenvalues, fd_seeds.error_estimate)}
+
+
+def _bracketed_root(f, lo, hi, guess, xtol):
+    """Root of the increasing f in [lo, hi], searched near guess=(g, w) first."""
+    a, b = lo, hi
+    if guess is not None:
+        g = min(max(guess[0], lo), hi)
+        w = max(guess[1], _MIN_WIDTH * max(1.0, abs(g)))
+        while True:
+            a, b = max(lo, g - w), min(hi, g + w)
+            if (a == lo and b == hi) or f(a) <= 0.0 <= f(b):
+                break
+            w *= _WIDEN
+    return brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+
+
+def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
+                   fd_seeds: SpectrumResult | None = None) -> SpectrumResult:
     """Windowed spectrum by Pruefer phase root finding, mesh-doubled.
 
     The right-end phase is strictly increasing in lambda, so the j-th
     eigenvalue is the unique root of theta(m1; lam) = theta_target + j pi;
     the phases at the window ends decide exactly which j fall inside, which
     is what makes the method miss-proof.
+
+    Each root is searched in a small bracket first: on the accepted mesh n
+    around the matching FD eigenvalue of fd_seeds (used only when its count
+    equals the phase count, sized from its error bar), on mesh 2n around the
+    mesh-n root.  A bracket is used only when phase evaluations at its ends
+    show the sign change, otherwise it is widened up to the whole window, so
+    the seeds can change the cost of a solve but not its result.
     """
     lo, hi = _check_window(window)
     theta_at = _phase_engine(problem)
     target = _theta_target(problem)
     n = _converged_mesh(theta_at, (lo, hi), tol=phase_tol)
+    xtol = 1e-13 * max(1.0, abs(hi))
 
     roots = {}
     index_sets = []
     for mesh in (n, 2 * n):
-        th_lo = theta_at(lo, mesh)
-        th_hi = theta_at(hi, mesh)
+        phase = functools.lru_cache(maxsize=None)(
+            functools.partial(theta_at, n=mesh))
+        th_lo = phase(lo)
+        th_hi = phase(hi)
         js = _window_indices(th_lo, th_hi, target)
         index_sets.append(js)
+        if mesh == n:
+            guesses = seeds = _fd_guesses(fd_seeds, js)
+        else:
+            # a mesh-2n root lies near the mesh-n one, and it moves less than
+            # the mesh-n root moved away from its FD seed
+            guesses = {j: (r[n], abs(r[n] - seeds[j][0]) if j in seeds else 0.0)
+                       for j, r in roots.items()}
         for j in js:
             tau = target + j * math.pi
             if th_hi - tau <= 0.0:
@@ -387,8 +459,8 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL) -> Spectrum
                 # there is nothing for the root finder to bracket.
                 lam = hi
             else:
-                lam = brentq(lambda x: theta_at(x, mesh) - tau, lo, hi,
-                             xtol=1e-13 * max(1.0, abs(hi)), rtol=8.9e-16)
+                lam = _bracketed_root(lambda x: phase(x) - tau, lo, hi,
+                                      guesses.get(j), xtol)
             roots.setdefault(j, {})[mesh] = lam
     if index_sets[0] != index_sets[1]:
         raise RuntimeError(
@@ -432,16 +504,13 @@ def count_below(problem: SLProblem, lambda_star: float) -> int:
     return c2
 
 
-def solve_cross_validated(problem: SLProblem, window, grid_n: int = 256,
-                          phase_tol: float = _PHASE_TOL) -> SpectrumResult:
-    """Run both methods and accept only if they agree within error bars.
+def cross_check(fd: SpectrumResult, sh: SpectrumResult, window) -> SpectrumResult:
+    """Accept shooting results only if FD agrees within the error bars.
 
     Reported eigenvalues come from the shooting method (exact per cell, so
     typically the tighter of the two); the error estimate also absorbs the
     observed cross-method discrepancy.
     """
-    fd = solve_fd(problem, grid_n, window)
-    sh = solve_shooting(problem, window, phase_tol=phase_tol)
     if len(fd.eigenvalues) != len(sh.eigenvalues):
         raise RuntimeError(
             f"method disagreement: FD found {len(fd.eigenvalues)} eigenvalues, "
@@ -457,6 +526,17 @@ def solve_cross_validated(problem: SLProblem, window, grid_n: int = 256,
         ev.append(ls)
         er.append(max(es, gap))
     return SpectrumResult(tuple(ev), tuple(er), "CrossValidated", fd.grid_n)
+
+
+def solve_cross_validated(problem: SLProblem, window, grid_n: int = 256,
+                          phase_tol: float = _PHASE_TOL) -> SpectrumResult:
+    """Run both methods and accept only if they agree within error bars.
+
+    FD runs first and seeds the shooting root brackets; see cross_check.
+    """
+    fd = solve_fd(problem, grid_n, window)
+    sh = solve_shooting(problem, window, phase_tol=phase_tol, fd_seeds=fd)
+    return cross_check(fd, sh, window)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .sturm_liouville import (
 from .torus_modes import ModeIndex, kappa_value, min_offzero_kappa
 
 __all__ = [
+    "FloorViolation",
     "TubeSpectrumRequest",
     "TubeSpectrum",
     "SpectrumEntry",
@@ -55,6 +56,14 @@ FAMILIES = ("Abs1", "Abs2")
 _GRID_N = 2048
 _PHASE_TOL = 1e-7
 _M_MAX_LADDER = (1, 2, 4, 8, 16)
+
+
+class FloorViolation(RuntimeError):
+    """A solved eigenvalue lies below the quadratic-form floor.
+
+    That cannot happen for a correct solve, so unlike the per-R failures
+    that sweep records as rows, it stops the whole sweep.
+    """
 
 
 @dataclass(frozen=True)
@@ -194,8 +203,11 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
                                                grid_n=_GRID_N,
                                                phase_tol=_PHASE_TOL)
                 floor = spectral_floor(problem, inf_q=inf_q) - 1e-6
-                assert all(ev >= floor for ev in result.eigenvalues), \
-                    "eigenvalue below the quadratic-form floor"
+                if not all(ev >= floor for ev in result.eigenvalues):
+                    raise FloorViolation(
+                        f"mode {mode} {fam}: eigenvalue "
+                        f"{min(result.eigenvalues)!r} below the quadratic-form "
+                        f"floor {floor!r}")
                 solved[key] = result
             result = solved[key]
             for ev, er in zip(result.eigenvalues, result.error_estimate):
@@ -285,7 +297,8 @@ def sweep(schedule: DegenerationSchedule,
     """Run find_r0 + tube_absolute_spectrum for every R in the schedule.
 
     Per-R failures (short tubes, certificate trouble) become rows with a
-    failure reason; the sweep always continues to the next R.
+    failure reason and the sweep continues to the next R; a FloorViolation
+    is a solver defect and propagates.
     """
     rows = []
     for j, R in enumerate(schedule.R_grid):
@@ -301,6 +314,8 @@ def sweep(schedule: DegenerationSchedule,
             ))
             rows.append(SweepRow(R=float(R), r0=r0, achieved_inf=achieved,
                                  spectrum=spectrum))
+        except FloorViolation:
+            raise
         except (RuntimeError, ValueError) as exc:
             rows.append(SweepRow(R=float(R), r0=None, achieved_inf=None,
                                  spectrum=None, failure=str(exc)))

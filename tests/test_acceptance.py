@@ -1,5 +1,8 @@
 """Acceptance gate: the nine headline checks, one test and one line each.
 
+Criterion 4 also has a non-vacuous companion test, whose window holds
+eigenvalues.
+
 Each test prints a single summary line so a verbose run reads as a
 checklist.  Stated runtime budgets are asserted, not just hoped for.
 """
@@ -151,6 +154,30 @@ def test_criterion_4_tube_threshold():
     assert elapsed < 60.0
     print(f"criterion 4 PASS: R in (6, 8, 10), {total_entries} off-zero "
           f"eigenvalues in (0, 2], all certified above 1, {elapsed:.2f}s")
+
+
+def test_criterion_4_tube_threshold_nonvacuous():
+    # companion to criterion 4: the window (0, 10] at R=6 does hold
+    # eigenvalues, the Abs1 (+-1, 0) pair at 5.30851 (six digits)
+    start = time.perf_counter()
+    geom = schedule_instantiate(DegenerationSchedule(R_grid=(6.0,)), 0)
+    r0, _ = find_r0(geom, threshold=5.0)
+    spectrum = tube_absolute_spectrum(TubeSpectrumRequest(
+        geometry=geom.with_r0(r0), lambda_max=10.0))
+    assert spectrum.entries
+    for entry in spectrum.entries:
+        assert entry.eigenvalue >= 1.0, entry
+    pair = [e for e in spectrum.entries
+            if e.family == "Abs1" and (e.mode.r, e.mode.s) in ((1, 0), (-1, 0))]
+    assert len(pair) == 2
+    for e in pair:
+        assert abs(e.eigenvalue - 5.30851) <= 5e-6 + e.error_estimate, e
+
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0
+    print(f"criterion 4 (non-vacuous) PASS: R=6, {len(spectrum.entries)} "
+          f"eigenvalues in (0, 10], Abs1 (+-1, 0) at "
+          f"{pair[0].eigenvalue:.6f}, {elapsed:.2f}s")
 
 
 def test_criterion_5_comparison_suites():

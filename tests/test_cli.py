@@ -53,6 +53,32 @@ def test_sl_solve_cross_records_three_result_sets(tmp_path):
     assert len(csv_lines) == 6
 
 
+def test_sl_solve_cross_solves_each_method_once(tmp_path, monkeypatch):
+    import tubespec.sturm_liouville as sl
+    counts = {"fd": 0, "shooting": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fd = counted("fd", sl.solve_fd)
+    shooting = counted("shooting", sl.solve_shooting)
+    for module in (cli, sl):
+        monkeypatch.setattr(module, "solve_fd", fd)
+        monkeypatch.setattr(module, "solve_shooting", shooting)
+    cfg = _write_config(tmp_path, SL_CONFIG)
+    assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert counts == {"fd": 1, "shooting": 1}
+
+    results = _read_json(tmp_path, "sl_solve.json")["results"]
+    checked = sl.cross_check(sl.SpectrumResult(**results["fd"]),
+                             sl.SpectrumResult(**results["shooting"]),
+                             SL_CONFIG["window"])
+    assert results["cross_validated"] == checked.to_json()
+
+
 def test_sl_solve_method_override_is_string(tmp_path):
     cfg = _write_config(tmp_path, SL_CONFIG)
     assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path),
@@ -202,6 +228,22 @@ def test_tube_sweep_reference_tube(tmp_path):
     assert row["pass"] is True and row["r0"] == 0.2
     assert row["n_entries"] == 0  # default window (0, 2] is empty
     assert "empty-window" in (tmp_path / "tube_sweep.csv").read_text()
+
+
+def test_tube_sweep_floor_violation_is_verification_failure(
+        tmp_path, monkeypatch, capsys):
+    import tubespec.tube_spectrum as ts
+    from tubespec.sturm_liouville import SpectrumResult
+
+    def below_floor(problem, window, grid_n=256, phase_tol=1e-9):
+        return SpectrumResult((-100.0,), (1e-9,), "CrossValidated", 2 * grid_n)
+
+    monkeypatch.setattr(ts, "solve_cross_validated", below_floor)
+    code = main(["tube-sweep", "--out", str(tmp_path),
+                 "--override", "R_grid=[6.0]", "--override", "lambda_max=10"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "quadratic-form floor" in err and "Traceback" not in err
 
 
 def test_bad_override_shape_is_input_error(tmp_path):

@@ -239,3 +239,123 @@ def test_csv_rows_shape():
     assert [r[0] for r in rows] == [0, 1, 2]
     assert rows[0][1] == pytest.approx(1.0, rel=1e-10)
     assert all(r[2] >= 0.0 for r in rows)
+
+
+def _count_phase_evaluations(monkeypatch):
+    import tubespec.sturm_liouville as sl
+    calls = []
+    real = sl._phase_engine
+
+    def counting(problem):
+        theta_at = real(problem)
+
+        def counted(lam, n):
+            calls.append(n)
+            return theta_at(lam, n)
+        return counted
+
+    monkeypatch.setattr(sl, "_phase_engine", counting)
+    return calls
+
+
+def _seed_test_problems():
+    smooth = SLProblem(q=lambda u: 1.5 + np.sin(2.0 * u) - 0.4 * np.cos(u),
+                       m0=0.0, m1=3.0, bc_left=BoundaryCondition.robin(-0.8),
+                       bc_right=DIR)
+    from tubespec.geometry import DegenerationSchedule, schedule_instantiate
+    from tubespec.torus_modes import ModeIndex
+    from tubespec.tube_spectrum import assemble_mode_problem, find_r0
+    geom = schedule_instantiate(DegenerationSchedule(R_grid=(10.0,)), 0)
+    geom = geom.with_r0(find_r0(geom)[0])
+    # stiff: theta(m1; lam) is a staircase, so brentq mostly bisects
+    tube = assemble_mode_problem(ModeIndex(1, 0), geom, "Abs1")
+    return [(smooth, (spectral_floor(smooth) - 1.0, 20.0), 256, 1e-7),
+            (tube, (0.0, 10.0), 2048, 1e-7)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["smooth", "tube"])
+def test_fd_seeds_cut_phase_work_but_cannot_steer_roots(case, monkeypatch):
+    from types import SimpleNamespace
+    p, window, grid_n, tol = _seed_test_problems()[case]
+    fd = solve_fd(p, grid_n, window)
+    calls = _count_phase_evaluations(monkeypatch)
+    plain = solve_shooting(p, window, phase_tol=tol)
+    plain_cells = sum(calls)
+    calls.clear()
+    seeded = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
+    assert sum(calls) < plain_cells
+    assert len(plain.eigenvalues) >= 1
+
+    lo, hi = window
+    half = 0.5 * (hi - lo)
+    bad_hints = [
+        SimpleNamespace(eigenvalues=[x + half for x in fd.eigenvalues],
+                        error_estimate=fd.error_estimate),
+        SimpleNamespace(eigenvalues=fd.eigenvalues[::-1],
+                        error_estimate=fd.error_estimate[::-1]),
+        SimpleNamespace(eigenvalues=fd.eigenvalues[:-1],
+                        error_estimate=fd.error_estimate[:-1]),
+    ]
+    tol_ev = 1e-11 * max(1.0, abs(hi))
+    for res in [seeded] + [solve_shooting(p, window, phase_tol=tol, fd_seeds=h)
+                           for h in bad_hints]:
+        assert res.grid_n == plain.grid_n
+        assert len(res.eigenvalues) == len(plain.eigenvalues)
+        for got, want in zip(res.eigenvalues, plain.eigenvalues):
+            assert abs(got - want) <= tol_ev
+
+
+def test_fd_assembly_rejects_non_finite_potential():
+    import tubespec.sturm_liouville as sl
+    # finite on the 65 validation samples, infinite at the node u = 1/6
+    p = SLProblem(q=lambda u: np.where(np.abs(u - 1.0 / 6.0) < 1e-12, np.inf, 0.0),
+                  m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        sl._fd_arrays(p, 6)
+
+
+def _reference_advance_phase(theta, c, h):
+    """Scalar one-cell phase update, the loop the phase engine batches."""
+    if c > 0.0:
+        om = math.sqrt(c)
+        k = round(theta / math.pi)
+        delta = theta - k * math.pi
+        phi = k * math.pi + math.atan2(om * math.sin(delta), math.cos(delta)) + om * h
+        k2 = round(phi / math.pi)
+        d2 = phi - k2 * math.pi
+        return k2 * math.pi + math.atan2(math.sin(d2), om * math.cos(d2))
+    n_in = math.floor(theta / math.pi)
+    delta = theta - n_in * math.pi
+    a, b = math.sin(delta), math.cos(delta)
+    if c == 0.0:
+        a2, b2 = a + h * b, b
+    else:
+        om = math.sqrt(-c)
+        em = -math.expm1(-2.0 * om * h)
+        E = 1.0 - em
+        a2 = 0.5 * ((1.0 + E) * a + em / om * b)
+        b2 = 0.5 * (om * em * a + (1.0 + E) * b)
+    if a2 > 0.0:
+        return n_in * math.pi + math.atan2(a2, b2)
+    if a2 == 0.0:
+        return (n_in + 1) * math.pi
+    return (n_in + 1) * math.pi + math.atan2(-a2, -b2)
+
+
+@pytest.mark.parametrize("lam", [2.0, 40.0, -30.0])
+def test_phase_engine_matches_scalar_loop(lam):
+    import tubespec.sturm_liouville as sl
+    # q crosses lam = 2 on a plateau where lam - q is exactly 0, so all
+    # three branches run; n spans more than one numpy chunk
+    p = SLProblem(q=lambda u: np.clip(8.0 * u - 4.0, -1.0, 2.0) * (u < 0.9)
+                  + 50.0 * (u >= 0.9),
+                  m0=0.0, m1=1.0, bc_left=BoundaryCondition.robin(0.3),
+                  bc_right=DIR)
+    n = 5000
+    h = p.length / n
+    theta = sl._theta_start(p)
+    for qc in p.q_values(p.m0 + h * (np.arange(n) + 0.5)).tolist():
+        theta = _reference_advance_phase(theta, lam - qc, h)
+    got = sl._phase_engine(p)(lam, n)
+    # the engine's numpy expm1 may differ from math.expm1 in the last bit
+    assert abs(got - theta) <= 1e-12 * max(1.0, abs(theta))
