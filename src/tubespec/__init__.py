@@ -32,7 +32,7 @@ from .discrete_hodge import (
     verify_eigenspace_pairing,
     verify_minimax,
 )
-from .geometry import DegenerationSchedule, TubeGeometry, make_tube, schedule_instantiate
+from .geometry import DegenerationSchedule, TubeGeometry, schedule_instantiate
 from .ode_compare import (
     ComparisonCase,
     asymptotic_slope,
@@ -50,7 +50,7 @@ from .sturm_liouville import (
     solve_shooting,
     spectral_floor,
 )
-from .torus_modes import ModeIndex, kappa, min_offzero_kappa, verify_mode_identities
+from .torus_modes import ModeIndex, min_offzero_kappa, verify_mode_identities
 from .tube_spectrum import (
     SweepOptions,
     TubeSpectrum,
@@ -86,10 +86,8 @@ __all__ = [
     "dirichlet_growth",
     "find_r0",
     "integrate_pair",
-    "kappa",
     "kunneth_min_sum",
     "laplacian_bound",
-    "make_tube",
     "min_offzero_kappa",
     "s1_case_study",
     "schedule_instantiate",

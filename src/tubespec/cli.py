@@ -14,6 +14,7 @@ JSON, schema violation, bad arguments).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,13 +23,13 @@ from .dissection import berger_scaling, c_rho_from_partition, \
     cover_from_json, cover_to_json, dirac_bound, laplacian_bound
 from .discrete_hodge import s1_case_study
 from .geometry import DegenerationSchedule, schedule_to_json
-from .jsonio import write_csv, write_json
+from .jsonio import check_fields, write_csv, write_json
 from .ode_compare import run_suite
 from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
-    solve_fd, solve_shooting, spectrum_csv_rows
+    solve_fd, solve_shooting
 # unused here, but perfbench's tracer looks it up as cli.solve_cross_validated
 from .sturm_liouville import solve_cross_validated  # noqa: F401
-from .tube_spectrum import SweepOptions, spectrum_csv_rows as sweep_csv_rows, sweep
+from .tube_spectrum import SweepOptions, sweep, sweep_csv_rows
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -38,23 +39,11 @@ TUBE_THRESHOLD_LAMBDA = 1.0
 TUBE_THRESHOLD_TOL = 1e-3
 
 
-def _check_keys(config: dict, allowed: set, required: set = frozenset()) -> None:
-    unknown = set(config) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = required - set(config)
-    if missing:
-        raise ValueError(f"missing config keys: {sorted(missing)}")
-
-
 def _load_config(args) -> dict:
+    config = {}
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
-        config = json.loads(text)
-        if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object")
-    else:
-        config = {}
+        config = check_fields(json.loads(text), "config file")
     for item in args.override:
         key, sep, raw = item.partition("=")
         if not sep or not key:
@@ -73,8 +62,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_sl_solve(args, config: dict) -> int:
-    _check_keys(config, {"problem", "window", "method", "grid_n"},
-                {"problem", "window"})
+    check_fields(config, "config", {"problem", "window", "method", "grid_n"},
+                 ("problem", "window"))
     problem = problem_from_json(config["problem"])
     window = tuple(config["window"])
     method = config.get("method", "cross")
@@ -106,7 +95,8 @@ def cmd_sl_solve(args, config: dict) -> int:
         "results": results,
     })
     write_csv(out / "sl_solve.csv", ("index", "eigenvalue", "error"),
-              spectrum_csv_rows(primary))
+              [(i, ev, er) for i, (ev, er) in
+               enumerate(zip(primary.eigenvalues, primary.error_estimate))])
     return EXIT_OK
 
 
@@ -121,8 +111,8 @@ def _tube_row_pass(row):
 
 
 def cmd_tube_sweep(args, config: dict) -> int:
-    _check_keys(config, {"R_grid", "D1", "D2", "E1", "E2", "threshold",
-                         "lambda_max", "family", "include_zero_mode"})
+    check_fields(config, "config", {"R_grid", "D1", "D2", "E1", "E2", "threshold",
+                                    "lambda_max", "family", "include_zero_mode"})
     schedule = DegenerationSchedule(
         D1=config.get("D1", 1.0), D2=config.get("D2", 1.0),
         E1=config.get("E1", 1.0), E2=config.get("E2", 1.0),
@@ -155,12 +145,7 @@ def cmd_tube_sweep(args, config: dict) -> int:
     all_pass = all(computed) if computed else True
     write_json(out / "tube_sweep.json", {
         "schedule": schedule_to_json(schedule),
-        "options": {
-            "threshold": options.threshold,
-            "lambda_max": options.lambda_max,
-            "family": options.family,
-            "include_zero_mode": options.include_zero_mode,
-        },
+        "options": dataclasses.asdict(options),
         "threshold_lambda": TUBE_THRESHOLD_LAMBDA,
         "threshold_tolerance": TUBE_THRESHOLD_TOL,
         "rows": summary_rows,
@@ -174,11 +159,7 @@ def cmd_bound(args, config: dict) -> int:
     # {"step": h, "rho": [[..], ..], "periodic": bool}
     c_rho = config.get("C_rho")
     if isinstance(c_rho, dict):
-        unknown = set(c_rho) - {"step", "rho", "periodic"}
-        if unknown:
-            raise ValueError(f"unknown C_rho fields: {sorted(unknown)}")
-        if "step" not in c_rho or "rho" not in c_rho:
-            raise ValueError("C_rho partition form needs 'step' and 'rho'")
+        check_fields(c_rho, "C_rho", {"step", "rho", "periodic"}, ("step", "rho"))
         config = dict(config)
         config["C_rho"] = c_rho_from_partition(
             c_rho["rho"], float(c_rho["step"]),
@@ -205,7 +186,7 @@ def cmd_bound(args, config: dict) -> int:
 
 
 def cmd_s1_dissect(args, config: dict) -> int:
-    _check_keys(config, {"n", "overlap_fraction"})
+    check_fields(config, "config", {"n", "overlap_fraction"})
     report = s1_case_study(int(config.get("n", 64)),
                            float(config.get("overlap_fraction", 0.125)))
     out = _outdir(args)
@@ -216,31 +197,23 @@ def cmd_s1_dissect(args, config: dict) -> int:
 
 
 def cmd_compare_ode(args, config: dict) -> int:
-    _check_keys(config, {"suite", "seed", "count"})
     config.setdefault("suite", "A.1")
     config.setdefault("seed", args.seed)
     report = run_suite(config)
     out = _outdir(args)
     write_json(out / "compare_ode.json", report)
-    if report["suite"] == "A.1":
-        header = ("index", "k", "alpha", "riccati_margin", "slope",
-                  "slope_threshold", "passed")
-        rows = [(c["index"], c["k"], c["alpha"], c["riccati_margin"],
-                 c["slope"], c["slope_threshold"], c["passed"])
-                for c in report["cases"]]
-    else:
-        header = ("index", "k", "alpha", "delta", "min_relative_margin",
-                  "no_zero", "passed")
-        rows = [(c["index"], c["k"], c["alpha"], c["delta"],
-                 c["min_relative_margin"], c["no_zero"], c["passed"])
-                for c in report["cases"]]
-    write_csv(out / "compare_ode.csv", header, rows)
+    checks = (("riccati_margin", "slope", "slope_threshold")
+              if report["suite"] == "A.1"
+              else ("delta", "min_relative_margin", "no_zero"))
+    header = ("index", "k", "alpha") + checks + ("passed",)
+    write_csv(out / "compare_ode.csv", header,
+              [[c[key] for key in header] for c in report["cases"]])
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY
 
 
 def cmd_berger_curve(args, config: dict) -> int:
-    _check_keys(config, {"a", "b", "m", "epsilon_bound", "t_max", "t_step",
-                         "thresholds"})
+    check_fields(config, "config", {"a", "b", "m", "epsilon_bound", "t_max",
+                                    "t_step", "thresholds"})
     t_step = float(config.get("t_step", 1.0))
     t_max = float(config.get("t_max", 200.0))
     if not (t_step > 0 and t_max >= t_step):

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import check_fields
+
 __all__ = [
     "CoverSpec",
     "BoundResult",
@@ -326,24 +328,22 @@ def _parse_dash_key(key: str, parts: int) -> tuple:
         raise ValueError(f"key {key!r} has non-integer indices") from exc
 
 
+def _dash_keyed(spec: dict, name: str, parts: int) -> dict:
+    return {_parse_dash_key(k, parts): v
+            for k, v in check_fields(spec.get(name, {}), name).items()}
+
+
 def cover_from_json(spec: dict) -> CoverSpec:
-    allowed = {"mu_set", "adjacency", "mu_pair", "C_rho", "h_pair", "h_triple"}
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValueError(f"unknown CoverSpec fields: {sorted(unknown)}")
-    for key in ("mu_set", "adjacency", "C_rho"):
-        if key not in spec:
-            raise ValueError(f"CoverSpec missing field {key!r}")
+    check_fields(spec, "CoverSpec",
+                 {"mu_set", "adjacency", "mu_pair", "C_rho", "h_pair", "h_triple"},
+                 ("mu_set", "adjacency", "C_rho"))
     return CoverSpec(
         mu_set=tuple(spec["mu_set"]),
         adjacency=tuple(tuple(row) for row in spec["adjacency"]),
-        mu_pair={_parse_dash_key(k, 2): v
-                 for k, v in spec.get("mu_pair", {}).items()},
+        mu_pair=_dash_keyed(spec, "mu_pair", 2),
         C_rho=spec["C_rho"],
-        h_pair={_parse_dash_key(k, 2): v
-                for k, v in spec.get("h_pair", {}).items()},
-        h_triple={_parse_dash_key(k, 3): v
-                  for k, v in spec.get("h_triple", {}).items()},
+        h_pair=_dash_keyed(spec, "h_pair", 2),
+        h_triple=_dash_keyed(spec, "h_triple", 3),
     )
 
 

@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import check_fields
+
 __all__ = [
     "TubeGeometry",
     "WarpedProfile",
     "DegenerationSchedule",
-    "make_tube",
     "schedule_instantiate",
     "aux_phi_psi",
     "geometry_to_json",
@@ -76,10 +77,6 @@ class TubeGeometry:
         if not (0.0 <= rho < math.pi):
             raise ValueError(f"rho must lie in [0, pi), got {self.rho}")
         object.__setattr__(self, "rho", rho)
-
-    @property
-    def r0_set(self) -> bool:
-        return self.r0 is not None
 
     def require_r0(self) -> float:
         if self.r0 is None:
@@ -151,12 +148,6 @@ class DegenerationSchedule:
         return eps_ok and rho_ok
 
 
-def make_tube(R: float, r0: float | None, R0: float | None,
-              epsilon: float, rho: float) -> TubeGeometry:
-    """Validated tube geometry; r0 = None leaves the inner truncation unset."""
-    return TubeGeometry(R=R, epsilon=epsilon, rho=rho, r0=r0, R0=R0)
-
-
 def schedule_instantiate(schedule: DegenerationSchedule, j: int) -> TubeGeometry:
     """Geometry at grid index j: epsilon = D1 e^{-2R}, rho = E1 e^{-R}, R0 = R-1.
 
@@ -208,13 +199,8 @@ def geometry_to_json(geom: TubeGeometry) -> dict:
 
 
 def geometry_from_json(doc: dict) -> TubeGeometry:
-    known = {"R", "r0", "R0", "epsilon", "rho"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown geometry fields: {sorted(unknown)}")
-    for req in ("R", "epsilon", "rho"):
-        if req not in doc:
-            raise ValueError(f"geometry document missing field {req!r}")
+    check_fields(doc, "geometry", {"R", "r0", "R0", "epsilon", "rho"},
+                 ("R", "epsilon", "rho"))
     return TubeGeometry(R=doc["R"], epsilon=doc["epsilon"], rho=doc["rho"],
                         r0=doc.get("r0"), R0=doc.get("R0"))
 
@@ -225,10 +211,7 @@ def schedule_to_json(sched: DegenerationSchedule) -> dict:
 
 
 def schedule_from_json(doc: dict) -> DegenerationSchedule:
-    known = {"D1", "D2", "E1", "E2", "R_grid"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown schedule fields: {sorted(unknown)}")
+    check_fields(doc, "schedule", {"D1", "D2", "E1", "E2", "R_grid"})
     return DegenerationSchedule(
         D1=doc.get("D1", 1.0), D2=doc.get("D2", 1.0),
         E1=doc.get("E1", 1.0), E2=doc.get("E2", 1.0),

@@ -5,6 +5,7 @@ canonicalized: object keys sorted, floats printed with 17 significant
 digits (round-trip exact for IEEE doubles), '.' decimal point regardless of
 locale, newline-terminated files.  Non-finite floats are rejected rather
 than serialized, since a NaN in a report is always a bug upstream.
+Input documents go through check_fields, the one schema check of the package.
 """
 
 from __future__ import annotations
@@ -16,7 +17,23 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["canonical_json", "write_json", "write_csv", "format_float"]
+__all__ = ["canonical_json", "write_json", "write_csv", "format_float", "check_fields"]
+
+
+def check_fields(doc, what: str, allowed=None, required=()):
+    """Return doc if it is a JSON object with only allowed and all required keys.
+
+    allowed=None admits any key.  Raises ValueError naming `what` otherwise.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = set() if allowed is None else set(doc) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} missing fields: {missing}")
+    return doc
 
 
 def format_float(x: float) -> str:

@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .jsonio import check_fields
+
 __all__ = [
     "ComparisonCase",
     "PairTrajectories",
@@ -360,11 +362,7 @@ def a2_suite_report(seed: int = 7, count: int = 10) -> dict:
 
 def run_suite(config: dict) -> dict:
     """Dispatch a suite config {"suite": "A.1"|"A.2", "seed": int, "count": int}."""
-    if not isinstance(config, dict):
-        raise ValueError("suite config must be a JSON object")
-    unknown = set(config) - {"suite", "seed", "count"}
-    if unknown:
-        raise ValueError(f"unknown suite config fields: {sorted(unknown)}")
+    check_fields(config, "suite config", {"suite", "seed", "count"})
     suite = config.get("suite")
     seed = int(config.get("seed", 7))
     if suite == "A.1":

@@ -35,6 +35,8 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
+from .jsonio import check_fields
+
 __all__ = [
     "BoundaryCondition",
     "SLProblem",
@@ -49,7 +51,6 @@ __all__ = [
     "potential_from_json",
     "problem_from_json",
     "problem_to_json",
-    "spectrum_csv_rows",
 ]
 
 MIN_INTERVAL = 1e-6
@@ -83,23 +84,10 @@ class BoundaryCondition:
         return self.kind == "robin"
 
 
-def _vectorized(q):
-    """Wrap a scalar-or-array potential callable into an array-in/array-out one."""
-    def qa(x):
-        x = np.asarray(x, dtype=float)
-        try:
-            v = np.asarray(q(x), dtype=float)
-            if v.shape == x.shape:
-                return v
-        except Exception:
-            pass
-        flat = np.array([float(q(xx)) for xx in np.atleast_1d(x).ravel()])
-        return flat.reshape(np.atleast_1d(x).shape) if x.ndim else float(flat[0])
-    return qa
-
-
 @dataclass(frozen=True)
 class SLProblem:
+    """-a'' + q a = lambda a on [m0, m1]; q maps an array of u to an array."""
+
     q: object
     m0: float
     m1: float
@@ -117,7 +105,12 @@ class SLProblem:
                 f"interval [{self.m0}, {self.m1}] shorter than {MIN_INTERVAL}")
         if not callable(self.q):
             raise TypeError("q must be callable")
-        sample = _vectorized(self.q)(np.linspace(self.m0, self.m1, 65))
+        u = np.linspace(self.m0, self.m1, 65)
+        sample = self.q_values(u)
+        if sample.shape != u.shape:
+            raise ValueError(
+                f"q must map an array of points to an array of the same shape, "
+                f"got shape {sample.shape} for {u.shape}")
         if not np.all(np.isfinite(sample)):
             raise ValueError("potential is not bounded on the interval")
 
@@ -126,7 +119,7 @@ class SLProblem:
         return self.m1 - self.m0
 
     def q_values(self, u):
-        return _vectorized(self.q)(u)
+        return np.asarray(self.q(np.asarray(u, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -158,6 +151,8 @@ class SpectrumResult:
 
 
 def _check_window(window):
+    if len(window) != 2:
+        raise ValueError(f"window must be a pair (lo, hi), got {window}")
     lo, hi = float(window[0]), float(window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"window must be finite with lo < hi, got {window}")
@@ -283,7 +278,6 @@ def _phase_engine(problem: SLProblem):
     is tiny.
     """
     theta0 = _theta_start(problem)
-    qfun = _vectorized(problem.q)
     cache: dict[int, np.ndarray] = {}
     pi = math.pi
     sin, cos, atan2, floor = math.sin, math.cos, math.atan2, math.floor
@@ -293,7 +287,7 @@ def _phase_engine(problem: SLProblem):
         if qbar is None:
             h = problem.length / n
             mids = problem.m0 + h * (np.arange(n) + 0.5)
-            qbar = qfun(mids)
+            qbar = problem.q_values(mids)
             if not np.all(np.isfinite(qbar)):
                 raise RuntimeError("integrator step failure: potential not finite")
             cache[n] = qbar
@@ -571,12 +565,6 @@ def spectral_floor(problem: SLProblem, inf_q: float | None = None) -> float:
     return inf_q - attractive_boundary_constant(problem)
 
 
-def _reject_unknown(spec: dict, allowed: set, what: str):
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-
-
 def potential_from_json(spec: dict):
     """Potential callable from its JSON description.
 
@@ -590,19 +578,19 @@ def potential_from_json(spec: dict):
         raise ValueError("potential spec must be a dict with a 'type' field")
     kind = spec["type"]
     if kind == "constant":
-        _reject_unknown(spec, {"type", "value"}, "constant potential")
+        check_fields(spec, "constant potential", {"type", "value"})
         v = float(spec["value"])
         return lambda u: v * np.ones_like(np.asarray(u, dtype=float))
     if kind == "poly":
-        _reject_unknown(spec, {"type", "coeffs"}, "poly potential")
+        check_fields(spec, "poly potential", {"type", "coeffs"})
         coeffs = [float(c) for c in spec["coeffs"]]
         if not coeffs:
             raise ValueError("poly potential needs at least one coefficient")
         return lambda u: np.polynomial.polynomial.polyval(
             np.asarray(u, dtype=float), coeffs)
     if kind == "fourier":
-        _reject_unknown(spec, {"type", "period", "a0", "cos", "sin"},
-                        "fourier potential")
+        check_fields(spec, "fourier potential",
+                     {"type", "period", "a0", "cos", "sin"})
         period = float(spec["period"])
         if period <= 0:
             raise ValueError("fourier period must be positive")
@@ -627,10 +615,10 @@ def _bc_from_json(spec: dict) -> BoundaryCondition:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("boundary condition must be a dict with a 'kind' field")
     if spec["kind"] == "dirichlet":
-        _reject_unknown(spec, {"kind"}, "dirichlet bc")
+        check_fields(spec, "dirichlet bc", {"kind"})
         return BoundaryCondition.dirichlet()
     if spec["kind"] == "robin":
-        _reject_unknown(spec, {"kind", "beta"}, "robin bc")
+        check_fields(spec, "robin bc", {"kind", "beta"})
         return BoundaryCondition.robin(float(spec["beta"]))
     raise ValueError(f"unknown boundary condition kind {spec['kind']!r}")
 
@@ -641,11 +629,11 @@ def _bc_to_json(bc: BoundaryCondition) -> dict:
     return {"kind": "dirichlet"}
 
 
+_PROBLEM_FIELDS = ("m0", "m1", "q", "bc_left", "bc_right")
+
+
 def problem_from_json(spec: dict) -> SLProblem:
-    _reject_unknown(spec, {"m0", "m1", "q", "bc_left", "bc_right"}, "problem")
-    for key in ("m0", "m1", "q", "bc_left", "bc_right"):
-        if key not in spec:
-            raise ValueError(f"problem spec missing field {key!r}")
+    check_fields(spec, "problem", _PROBLEM_FIELDS, _PROBLEM_FIELDS)
     return SLProblem(
         q=potential_from_json(spec["q"]),
         m0=float(spec["m0"]),
@@ -666,9 +654,3 @@ def problem_to_json(problem: SLProblem) -> dict:
         "bc_left": _bc_to_json(problem.bc_left),
         "bc_right": _bc_to_json(problem.bc_right),
     }
-
-
-def spectrum_csv_rows(result: SpectrumResult) -> list:
-    """Rows (index, eigenvalue, error) for CSV export."""
-    return [(i, ev, er) for i, (ev, er) in
-            enumerate(zip(result.eigenvalues, result.error_estimate))]

@@ -32,13 +32,10 @@ from .geometry import TubeGeometry, WarpedProfile
 
 __all__ = [
     "ModeIndex",
-    "FiberEigenvalue",
-    "kappa",
     "kappa_value",
     "enumerate_modes",
     "min_offzero_kappa",
     "verify_mode_identities",
-    "mode_table",
 ]
 
 # u-grid spacing for infima sweeps; kappa is monotone in u so this is
@@ -62,13 +59,6 @@ class ModeIndex:
         return self.r == 0 and self.s == 0
 
 
-@dataclass(frozen=True)
-class FiberEigenvalue:
-    mode: ModeIndex
-    u: float
-    kappa: float
-
-
 def kappa_value(r, s, u, geometry: TubeGeometry):
     """kappa_{(r,s)}(u), vectorized over u or over (r, s).
 
@@ -82,11 +72,6 @@ def kappa_value(r, s, u, geometry: TubeGeometry):
     h = np.sinh(x)
     w = 2.0 * math.pi * np.asarray(s, dtype=float) + np.asarray(r, dtype=float) * geometry.rho
     return (w / (geometry.epsilon * f)) ** 2 + (np.asarray(r, dtype=float) / h) ** 2
-
-
-def kappa(mode: ModeIndex, u: float, geometry: TubeGeometry) -> FiberEigenvalue:
-    val = kappa_value(mode.r, mode.s, float(u), geometry)
-    return FiberEigenvalue(mode=mode, u=float(u), kappa=float(val))
 
 
 def enumerate_modes(M_max: int) -> list[ModeIndex]:
@@ -305,15 +290,3 @@ def verify_mode_identities(mode: ModeIndex, geometry: TubeGeometry,
         "tolerance": tol,
         "passed": bool(max_res <= tol and norm_rel <= 1e-8),
     }
-
-
-def mode_table(geometry: TubeGeometry, M_max: int, u_points=None) -> list[FiberEigenvalue]:
-    """kappa values for the full lattice on a u grid; CSV-ready rows."""
-    r0 = geometry.require_r0()
-    if u_points is None:
-        u_points = np.linspace(r0, geometry.R0, 9)
-    rows = []
-    for m in enumerate_modes(M_max):
-        for u in np.asarray(u_points, dtype=float):
-            rows.append(kappa(m, float(u), geometry))
-    return rows

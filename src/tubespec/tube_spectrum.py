@@ -32,7 +32,7 @@ from .sturm_liouville import (
     solve_cross_validated,
     spectral_floor,
 )
-from .torus_modes import ModeIndex, kappa_value, min_offzero_kappa
+from .torus_modes import ModeIndex, enumerate_modes, kappa_value, min_offzero_kappa
 
 __all__ = [
     "FloorViolation",
@@ -45,7 +45,7 @@ __all__ = [
     "tube_absolute_spectrum",
     "find_r0",
     "sweep",
-    "spectrum_csv_rows",
+    "sweep_csv_rows",
 ]
 
 FAMILIES = ("Abs1", "Abs2")
@@ -66,12 +66,8 @@ class FloorViolation(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class TubeSpectrumRequest:
-    geometry: TubeGeometry
-    lambda_max: float
-    include_zero_mode: bool = False
-    family: str = "Both"
+class _WindowOptions:
+    """lambda_max (stored as a float) and family checks of requests and sweeps."""
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_max", float(self.lambda_max))
@@ -79,6 +75,17 @@ class TubeSpectrumRequest:
             raise ValueError("lambda_max must be positive and finite")
         if self.family not in ("Abs1", "Abs2", "Both"):
             raise ValueError(f"unknown family {self.family!r}")
+
+
+@dataclass(frozen=True)
+class TubeSpectrumRequest(_WindowOptions):
+    geometry: TubeGeometry
+    lambda_max: float
+    include_zero_mode: bool = False
+    family: str = "Both"
+
+    def __post_init__(self):
+        super().__post_init__()
         self.geometry.require_r0()
 
     @property
@@ -137,8 +144,14 @@ def _mode_inf_kappa(mode: ModeIndex, geometry: TubeGeometry) -> float:
     return float(np.min(kappa_value(mode.r, mode.s, u, geometry)))
 
 
-def _certified_lattice(geometry: TubeGeometry, cutoff: float):
-    """Smallest ladder M_max whose outside-lattice floor clears the cutoff."""
+def _certified_lattice(geometry: TubeGeometry, cutoff: float = -math.inf):
+    """(M_max, inf kappa, certificate) at the first ladder rung that certifies.
+
+    A rung certifies when min_offzero_kappa does not reject its lattice and
+    the outside-lattice floor clears the cutoff.  When none does, the last
+    lattice error is re-raised, or, if every lattice was accepted, the
+    cutoff failure.
+    """
     last_err = None
     for M in _M_MAX_LADDER:
         try:
@@ -183,11 +196,8 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
 
     M_used, kappa_min, cert = _certified_lattice(geom, cutoff)
 
-    modes = [ModeIndex(r, s)
-             for r in range(-M_used, M_used + 1)
-             for s in range(-M_used, M_used + 1)]
-    if not request.include_zero_mode:
-        modes = [m for m in modes if not m.is_zero]
+    modes = [m for m in enumerate_modes(M_used)
+             if request.include_zero_mode or not m.is_zero]
 
     solved = {}
     entries = []
@@ -248,15 +258,9 @@ def find_r0(geometry: TubeGeometry, threshold: float = 5.0):
         k += 1
     best = None
     for r0 in candidates:
-        trial = geometry.with_r0(r0)
-        achieved = None
-        for M in _M_MAX_LADDER:
-            try:
-                achieved = min_offzero_kappa(trial, M)
-                break
-            except RuntimeError:
-                continue
-        if achieved is None:
+        try:
+            _, achieved, _ = _certified_lattice(geometry.with_r0(r0))
+        except RuntimeError:
             continue
         best = achieved if best is None else max(best, achieved)
         if achieved > threshold:
@@ -268,7 +272,7 @@ def find_r0(geometry: TubeGeometry, threshold: float = 5.0):
 
 
 @dataclass(frozen=True)
-class SweepOptions:
+class SweepOptions(_WindowOptions):
     threshold: float = 5.0
     lambda_max: float = 2.0
     family: str = "Both"
@@ -323,7 +327,7 @@ def sweep(schedule: DegenerationSchedule,
     return rows
 
 
-def spectrum_csv_rows(rows) -> list:
+def sweep_csv_rows(rows) -> list:
     """Flatten sweep rows to (R, r0, mode_r, mode_s, family, eigenvalue, error).
 
     Failure rows keep their place with empty mode columns and the reason in

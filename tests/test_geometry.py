@@ -15,7 +15,6 @@ from tubespec.geometry import (
     aux_phi_psi,
     geometry_from_json,
     geometry_to_json,
-    make_tube,
     schedule_from_json,
     schedule_instantiate,
     schedule_to_json,
@@ -23,8 +22,8 @@ from tubespec.geometry import (
 
 
 def test_make_tube_valid_and_schedule_member():
-    geom = make_tube(R=6.0, r0=2.0, R0=5.0,
-                     epsilon=math.exp(-12.0), rho=math.exp(-6.0))
+    geom = TubeGeometry(R=6.0, r0=2.0, R0=5.0,
+                        epsilon=math.exp(-12.0), rho=math.exp(-6.0))
     assert geom.r0 == 2.0 and geom.R0 == 5.0
     sched = DegenerationSchedule(R_grid=(6.0,))
     assert sched.check_member(geom)
@@ -32,13 +31,13 @@ def test_make_tube_valid_and_schedule_member():
 
 def test_make_tube_ordering_violation():
     with pytest.raises(ValueError):
-        make_tube(R=6.0, r0=5.0, R0=2.0,
-                  epsilon=math.exp(-12.0), rho=math.exp(-6.0))
+        TubeGeometry(R=6.0, r0=5.0, R0=2.0,
+                     epsilon=math.exp(-12.0), rho=math.exp(-6.0))
 
 
 def test_make_tube_wide_schedule_member():
-    geom = make_tube(R=10.0, r0=3.0, R0=9.0,
-                     epsilon=2.0 * math.exp(-20.0), rho=0.5 * math.exp(-10.0))
+    geom = TubeGeometry(R=10.0, r0=3.0, R0=9.0,
+                        epsilon=2.0 * math.exp(-20.0), rho=0.5 * math.exp(-10.0))
     sched = DegenerationSchedule(D1=1.0, D2=2.0, E1=0.5, E2=1.0, R_grid=(10.0,))
     assert sched.check_member(geom)
     tight = DegenerationSchedule(R_grid=(10.0,))
@@ -63,7 +62,7 @@ def test_schedule_instantiate_fixture():
     assert geom.epsilon == math.exp(-12.0)
     assert geom.rho == math.exp(-6.0)
     assert geom.R0 == 5.0
-    assert not geom.r0_set
+    assert geom.r0 is None
 
 
 def test_schedule_instantiate_d1_scaling():
@@ -91,8 +90,8 @@ def test_schedule_validation():
 
 def test_profile_H_identity_against_numerical_log_derivative():
     # H(u) = 1/2 (tanh + coth)(R - u) must match -1/2 d/du log(f h) to O(step^2)
-    geom = make_tube(R=6.0, r0=0.5, R0=5.0,
-                     epsilon=math.exp(-12.0), rho=math.exp(-6.0))
+    geom = TubeGeometry(R=6.0, r0=0.5, R0=5.0,
+                        epsilon=math.exp(-12.0), rho=math.exp(-6.0))
     prof = WarpedProfile(geom)
     u = np.linspace(0.6, 4.9, 41)
     for step in (1e-3, 5e-4):
@@ -102,8 +101,8 @@ def test_profile_H_identity_against_numerical_log_derivative():
 
 
 def test_profile_bounds_and_beta():
-    geom = make_tube(R=8.0, r0=0.2, R0=7.0,
-                     epsilon=math.exp(-16.0), rho=math.exp(-8.0))
+    geom = TubeGeometry(R=8.0, r0=0.2, R0=7.0,
+                        epsilon=math.exp(-16.0), rho=math.exp(-8.0))
     prof = WarpedProfile(geom)
     u = np.linspace(0.2, 7.0, 101)
     assert np.all(prof.f(u) >= 1.0)
@@ -116,8 +115,8 @@ def test_profile_bounds_and_beta():
 
 
 def test_profile_domain_guard():
-    geom = make_tube(R=4.0, r0=0.0, R0=3.0,
-                     epsilon=math.exp(-8.0), rho=math.exp(-4.0))
+    geom = TubeGeometry(R=4.0, r0=0.0, R0=3.0,
+                        epsilon=math.exp(-8.0), rho=math.exp(-4.0))
     prof = WarpedProfile(geom)
     with pytest.raises(ValueError):
         prof.h(4.0)
@@ -125,16 +124,16 @@ def test_profile_domain_guard():
 
 
 def test_aux_phi_psi_vanishes_at_zero():
-    geom = make_tube(R=6.0, r0=1.0, R0=5.0,
-                     epsilon=math.exp(-12.0), rho=math.exp(-6.0))
+    geom = TubeGeometry(R=6.0, r0=1.0, R0=5.0,
+                        epsilon=math.exp(-12.0), rho=math.exp(-6.0))
     phi, psi = aux_phi_psi(geom, 0.0)
     assert phi == 0.0 and psi == 0.0
 
 
 def test_aux_phi_psi_high_precision_oracle():
     # independent arbitrary-precision evaluation of the closed form at R=8, u=2
-    geom = make_tube(R=8.0, r0=1.0, R0=7.0,
-                     epsilon=math.exp(-16.0), rho=math.exp(-8.0))
+    geom = TubeGeometry(R=8.0, r0=1.0, R0=7.0,
+                        epsilon=math.exp(-16.0), rho=math.exp(-8.0))
     phi, psi = aux_phi_psi(geom, 2.0)
     with mpmath.workdps(50):
         R, u = mpmath.mpf(8), mpmath.mpf(2)
@@ -150,8 +149,8 @@ def test_aux_phi_psi_decay_along_R_grid():
     # fixed u: |phi| + |psi| decreases monotonically as R grows
     vals = []
     for R in (6.0, 8.0, 10.0, 12.0):
-        geom = make_tube(R=R, r0=1.0, R0=R - 1.0,
-                         epsilon=math.exp(-2 * R), rho=math.exp(-R))
+        geom = TubeGeometry(R=R, r0=1.0, R0=R - 1.0,
+                            epsilon=math.exp(-2 * R), rho=math.exp(-R))
         phi, psi = aux_phi_psi(geom, 2.0)
         vals.append(abs(phi) + abs(psi))
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -172,8 +171,8 @@ def test_profile_identities_hold_for_random_geometries(R, frac):
 
 
 def test_geometry_json_round_trip():
-    geom = make_tube(R=6.0, r0=0.2, R0=5.0,
-                     epsilon=math.exp(-12.0), rho=math.exp(-6.0))
+    geom = TubeGeometry(R=6.0, r0=0.2, R0=5.0,
+                        epsilon=math.exp(-12.0), rho=math.exp(-6.0))
     doc = geometry_to_json(geom)
     back = geometry_from_json(doc)
     assert back == geom

@@ -19,7 +19,6 @@ from tubespec.sturm_liouville import (
     solve_fd,
     solve_shooting,
     spectral_floor,
-    spectrum_csv_rows,
 )
 
 DIR = BoundaryCondition.dirichlet()
@@ -233,14 +232,6 @@ def test_problem_json_round_trip():
         problem_from_json({**doc, "extra": True})
 
 
-def test_csv_rows_shape():
-    res = solve_shooting(_dirichlet_q0(), (0.0, 10.0))
-    rows = spectrum_csv_rows(res)
-    assert [r[0] for r in rows] == [0, 1, 2]
-    assert rows[0][1] == pytest.approx(1.0, rel=1e-10)
-    assert all(r[2] >= 0.0 for r in rows)
-
-
 def _count_phase_evaluations(monkeypatch):
     import tubespec.sturm_liouville as sl
     calls = []
@@ -312,6 +303,32 @@ def test_fd_assembly_rejects_non_finite_potential():
                   m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
     with pytest.raises(RuntimeError, match="non-finite"):
         sl._fd_arrays(p, 6)
+
+
+def test_scalar_potential_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="same shape"):
+        SLProblem(q=lambda u: 1.0, m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
+
+
+def test_potential_errors_reach_the_caller_unchanged():
+    class Boom(Exception):
+        pass
+
+    def q(u):
+        raise Boom("from q")
+
+    with pytest.raises(Boom, match="from q"):
+        SLProblem(q=q, m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
+
+    def q_small_arrays_only(u):
+        # passes the 65-point construction check, fails on the FD meshes
+        if u.size > 65:
+            raise Boom("mesh too long")
+        return 0.0 * u
+
+    p = SLProblem(q=q_small_arrays_only, m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
+    with pytest.raises(Boom, match="mesh too long"):
+        solve_fd(p, 64, (0.0, 50.0))
 
 
 def _reference_advance_phase(theta, c, h):

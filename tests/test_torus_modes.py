@@ -12,10 +12,8 @@ from tubespec.geometry import DegenerationSchedule, TubeGeometry, schedule_insta
 from tubespec.torus_modes import (
     ModeIndex,
     enumerate_modes,
-    kappa,
     kappa_value,
     min_offzero_kappa,
-    mode_table,
     verify_mode_identities,
 )
 
@@ -130,16 +128,6 @@ def test_min_offzero_rho_zero_minimizer():
 def test_min_offzero_insufficient_lattice():
     with pytest.raises(ValueError):
         min_offzero_kappa(_tube(6.0), 0)
-
-
-def test_kappa_wrapper_and_mode_table():
-    geom = _tube(6.0)
-    fe = kappa(ModeIndex(1, 1), 1.0, geom)
-    assert fe.mode == ModeIndex(1, 1) and fe.u == 1.0
-    assert fe.kappa == kappa_value(1, 1, 1.0, geom)
-    table = mode_table(geom, 1, u_points=(0.2, 1.0))
-    assert len(table) == 18  # 9 modes x 2 points
-    assert all(entry.kappa >= 0.0 for entry in table)
 
 
 def test_verify_identities_zero_mode_trivial():

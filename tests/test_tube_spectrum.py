@@ -14,7 +14,7 @@ from tubespec.tube_spectrum import (
     TubeSpectrumRequest,
     assemble_mode_problem,
     find_r0,
-    spectrum_csv_rows,
+    sweep_csv_rows,
     sweep,
     tube_absolute_spectrum,
 )
@@ -200,7 +200,7 @@ def test_sweep_empty_grid():
 
 def test_csv_rows_document_failures_and_empty_windows():
     rows = sweep(DegenerationSchedule(R_grid=(1.2, 6.0)))
-    flat = spectrum_csv_rows(rows)
+    flat = sweep_csv_rows(rows)
     assert len(flat) == 2
     assert flat[0][0] == 1.2 and flat[0][4].startswith("FAILED:")
     assert flat[1][0] == 6.0 and flat[1][4] == "empty-window"
@@ -208,7 +208,7 @@ def test_csv_rows_document_failures_and_empty_windows():
 
 def test_csv_rows_list_eigenvalues(tube6, spectrum6):
     row = SweepRow(R=6.0, r0=tube6.r0, achieved_inf=5.97, spectrum=spectrum6)
-    flat = spectrum_csv_rows([row])
+    flat = sweep_csv_rows([row])
     assert len(flat) == len(spectrum6.entries)
     for out, e in zip(flat, spectrum6.entries):
         assert out == (6.0, tube6.r0, e.mode.r, e.mode.s, e.family,
