@@ -5,7 +5,7 @@ canonicalized: object keys sorted, floats printed with 17 significant
 digits (round-trip exact for IEEE doubles), '.' decimal point regardless of
 locale, newline-terminated files.  Non-finite floats are rejected rather
 than serialized, since a NaN in a report is always a bug upstream.
-Input documents go through check_fields, the one schema check of the package.
+check_fields validates the keys of every JSON input document.
 """
 
 from __future__ import annotations

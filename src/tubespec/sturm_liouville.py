@@ -574,15 +574,13 @@ def potential_from_json(spec: dict):
       {"type": "fourier", "period": L, "a0": v,
        "cos": [...], "sin": [...]}                        harmonics of 2 pi u/L
     """
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("potential spec must be a dict with a 'type' field")
-    kind = spec["type"]
+    kind = check_fields(spec, "potential", required=("type",))["type"]
     if kind == "constant":
-        check_fields(spec, "constant potential", {"type", "value"})
+        check_fields(spec, "constant potential", {"type", "value"}, ("value",))
         v = float(spec["value"])
         return lambda u: v * np.ones_like(np.asarray(u, dtype=float))
     if kind == "poly":
-        check_fields(spec, "poly potential", {"type", "coeffs"})
+        check_fields(spec, "poly potential", {"type", "coeffs"}, ("coeffs",))
         coeffs = [float(c) for c in spec["coeffs"]]
         if not coeffs:
             raise ValueError("poly potential needs at least one coefficient")
@@ -590,7 +588,7 @@ def potential_from_json(spec: dict):
             np.asarray(u, dtype=float), coeffs)
     if kind == "fourier":
         check_fields(spec, "fourier potential",
-                     {"type", "period", "a0", "cos", "sin"})
+                     {"type", "period", "a0", "cos", "sin"}, ("period",))
         period = float(spec["period"])
         if period <= 0:
             raise ValueError("fourier period must be positive")
@@ -612,15 +610,14 @@ def potential_from_json(spec: dict):
 
 
 def _bc_from_json(spec: dict) -> BoundaryCondition:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("boundary condition must be a dict with a 'kind' field")
-    if spec["kind"] == "dirichlet":
+    kind = check_fields(spec, "boundary condition", required=("kind",))["kind"]
+    if kind == "dirichlet":
         check_fields(spec, "dirichlet bc", {"kind"})
         return BoundaryCondition.dirichlet()
-    if spec["kind"] == "robin":
-        check_fields(spec, "robin bc", {"kind", "beta"})
+    if kind == "robin":
+        check_fields(spec, "robin bc", {"kind", "beta"}, ("beta",))
         return BoundaryCondition.robin(float(spec["beta"]))
-    raise ValueError(f"unknown boundary condition kind {spec['kind']!r}")
+    raise ValueError(f"unknown boundary condition kind {kind!r}")
 
 
 def _bc_to_json(bc: BoundaryCondition) -> dict:

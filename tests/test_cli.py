@@ -247,27 +247,20 @@ def test_tube_sweep_floor_violation_is_verification_failure(
 
 
 def test_bad_override_shape_is_input_error(tmp_path, capsys):
-    cfg = _write_config(tmp_path, SL_CONFIG)
+    sl_cfg = _write_config(tmp_path, SL_CONFIG)
+    bound_cfg = _write_config(tmp_path, BOUND_CONFIG, "bound.json")
     bad = [
         ["s1-dissect", "--override", "no_equals_sign"],
-        ["bound", "--override", "mu_pair=5"],
-        ["bound", "--override", "mu_pair=[1.0]"],
-        ["bound", "--override", "h_pair=[2]"],
-        ["sl-solve", "--config", cfg, "--override", "window=[0,10,3]"],
+        ["bound", "--config", bound_cfg, "--override", "mu_pair=5"],
+        ["bound", "--config", bound_cfg, "--override", "mu_pair=[1.0]"],
+        ["bound", "--config", bound_cfg, "--override", "h_pair=[2]"],
+        ["sl-solve", "--config", sl_cfg, "--override", "window=[0,10,3]"],
+        ["tube-sweep", "--override", "family=Bogus", "--override", "R_grid=[6]"],
+        ["tube-sweep", "--override", "lambda_max=-1", "--override", "R_grid=[6]"],
     ]
+    out = tmp_path / "out"
     for argv in bad:
-        if argv[0] == "bound":
-            argv += ["--config", _write_config(tmp_path, BOUND_CONFIG, "bound.json")]
-        out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2, argv
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err, argv
         assert not out.exists() or not any(out.iterdir()), argv
-
-
-@pytest.mark.parametrize("override", ["family=Bogus", "lambda_max=-1"])
-def test_tube_sweep_bad_option_is_input_error(tmp_path, capsys, override):
-    code = main(["tube-sweep", "--out", str(tmp_path), "--override", override,
-                 "--override", "R_grid=[6]"])
-    err = capsys.readouterr().err
-    assert code == 2 and "input error" in err and "Traceback" not in err
-    assert not (tmp_path / "tube_sweep.csv").exists()

@@ -24,7 +24,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _X = [i / 10.0 for i in range(11)]
 
-# (case directory, subcommand, config or None, extra argv, exit code)
+# (case directory, subcommand, config or None, exit code)
 CASES = [
     ("sl-solve", "sl-solve", {
         "problem": {
@@ -35,25 +35,25 @@ CASES = [
         },
         "window": [0.0, 30.0],
         "method": "cross",
-    }, [], 0),
-    ("tube-sweep", "tube-sweep", {"R_grid": [1.2, 10], "lambda_max": 10}, [], 0),
+    }, 0),
+    ("tube-sweep", "tube-sweep", {"R_grid": [1.2, 10], "lambda_max": 10}, 0),
     ("bound", "bound", {
         "mu_set": [1.0, 1.0],
         "adjacency": [[1], [0]],
         "mu_pair": {"0-1": 1.0},
         "h_pair": {"0-1": 2},
         "C_rho": {"step": 0.1, "rho": [_X, [1.0 - v for v in _X]]},
-    }, [], 0),
-    ("s1-dissect", "s1-dissect", None, [], 0),
-    ("compare-ode/A.1", "compare-ode", {"suite": "A.1", "count": 3}, [], 0),
-    ("compare-ode/A.2", "compare-ode", {"suite": "A.2", "count": 3}, [], 0),
-    ("berger-curve", "berger-curve", None, [], 0),
+    }, 0),
+    ("s1-dissect", "s1-dissect", None, 0),
+    ("compare-ode/A.1", "compare-ode", {"suite": "A.1", "count": 3}, 0),
+    ("compare-ode/A.2", "compare-ode", {"suite": "A.2", "count": 3}, 0),
+    ("berger-curve", "berger-curve", None, 0),
 ]
 
 
 def _run(case, workdir: Path, out: Path) -> int:
-    _, sub, config, extra, _ = case
-    argv = [sub, "--out", str(out)] + extra
+    _, sub, config, _ = case
+    argv = [sub, "--out", str(out)]
     if config is not None:
         path = workdir / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
@@ -64,7 +64,7 @@ def _run(case, workdir: Path, out: Path) -> int:
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_golden_outputs(case, tmp_path):
     out = tmp_path / "out"
-    assert _run(case, tmp_path, out) == case[4]
+    assert _run(case, tmp_path, out) == case[3]
     golden = GOLDEN / case[0]
     expected = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in out.iterdir()) == expected
@@ -78,5 +78,5 @@ if __name__ == "__main__":
         shutil.rmtree(target, ignore_errors=True)
         with tempfile.TemporaryDirectory() as work:
             code = _run(case, Path(work), target)
-        if code != case[4]:
-            sys.exit(f"{case[0]}: exit {code}, expected {case[4]}")
+        if code != case[3]:
+            sys.exit(f"{case[0]}: exit {code}, expected {case[3]}")
