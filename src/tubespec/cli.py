@@ -22,7 +22,7 @@ from pathlib import Path
 from .dissection import berger_scaling, c_rho_from_partition, \
     cover_from_json, cover_to_json, dirac_bound, laplacian_bound
 from .discrete_hodge import s1_case_study
-from .geometry import DegenerationSchedule, schedule_to_json
+from .geometry import DegenerationSchedule, schedule_from_json, schedule_to_json
 from .jsonio import check_fields, write_csv, write_json
 from .ode_compare import run_suite
 from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
@@ -37,6 +37,8 @@ EXIT_INPUT = 2
 
 TUBE_THRESHOLD_LAMBDA = 1.0
 TUBE_THRESHOLD_TOL = 1e-3
+# berger-curve builds its t grid as a list; the default grid has 201 points
+MAX_T_GRID_POINTS = 100_000
 
 
 def _load_config(args) -> dict:
@@ -110,20 +112,18 @@ def _tube_row_pass(row):
     return bool(m >= TUBE_THRESHOLD_LAMBDA - TUBE_THRESHOLD_TOL)
 
 
+def _fields_of(cls, config: dict) -> dict:
+    """The entries of config that name fields of the dataclass cls."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {key: value for key, value in config.items() if key in names}
+
+
 def cmd_tube_sweep(args, config: dict) -> int:
-    check_fields(config, "config", {"R_grid", "D1", "D2", "E1", "E2", "threshold",
-                                    "lambda_max", "family", "include_zero_mode"})
-    schedule = DegenerationSchedule(
-        D1=config.get("D1", 1.0), D2=config.get("D2", 1.0),
-        E1=config.get("E1", 1.0), E2=config.get("E2", 1.0),
-        R_grid=tuple(config.get("R_grid", ())),
-    )
-    options = SweepOptions(
-        threshold=float(config.get("threshold", 5.0)),
-        lambda_max=float(config.get("lambda_max", 2.0)),
-        family=config.get("family", "Both"),
-        include_zero_mode=bool(config.get("include_zero_mode", False)),
-    )
+    schedule_doc = _fields_of(DegenerationSchedule, config)
+    options_doc = _fields_of(SweepOptions, config)
+    check_fields(config, "config", {*schedule_doc, *options_doc})
+    schedule = schedule_from_json(schedule_doc)
+    options = SweepOptions(**options_doc)
     rows = sweep(schedule, options)
     out = _outdir(args)
 
@@ -218,8 +218,11 @@ def cmd_berger_curve(args, config: dict) -> int:
     t_max = float(config.get("t_max", 200.0))
     if not (t_step > 0 and t_max >= t_step):
         raise ValueError("need t_step > 0 and t_max >= t_step")
-    n = int(t_max / t_step + 1e-9)
-    t_grid = [i * t_step for i in range(n + 1)]
+    n = t_max / t_step + 1e-9
+    if not n < MAX_T_GRID_POINTS:
+        raise ValueError(f"t grid of {n + 1:.6g} points exceeds the limit of "
+                         f"{MAX_T_GRID_POINTS}; raise t_step or lower t_max")
+    t_grid = [i * t_step for i in range(int(n) + 1)]
     curve = berger_scaling(
         a=float(config.get("a", 1.0)),
         b=float(config.get("b", 1.0)),

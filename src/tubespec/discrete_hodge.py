@@ -53,19 +53,29 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DiracComplexMatrix:
+    """A complex stored as d and P; delta, T and Q are built when accessed."""
     name: str
     dim_plus: int
     dim_minus: int
     step: float
     d: np.ndarray
-    delta: np.ndarray
-    T: np.ndarray
-    Q: np.ndarray
     P: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.dim_plus + self.dim_minus
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.d.T
+
+    @property
+    def T(self) -> np.ndarray:
+        return np.diag(np.repeat([1.0, -1.0], [self.dim_plus, self.dim_minus]))
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self.d + self.d.T
 
 
 def _assemble(name: str, d_block: np.ndarray, step: float) -> DiracComplexMatrix:
@@ -74,12 +84,9 @@ def _assemble(name: str, d_block: np.ndarray, step: float) -> DiracComplexMatrix
     dim = dp + dm
     d = np.zeros((dim, dim))
     d[dp:, :dp] = d_block
-    delta = d.T.copy()
-    T = np.diag(np.concatenate([np.ones(dp), -np.ones(dm)]))
-    Q = d + delta
-    P = Q @ Q
+    Q = d + d.T
     return DiracComplexMatrix(name=name, dim_plus=dp, dim_minus=dm,
-                              step=float(step), d=d, delta=delta, T=T, Q=Q, P=P)
+                              step=float(step), d=d, P=Q @ Q)
 
 
 def build_circle_complex(n: int, length: float = 2.0 * math.pi) -> DiracComplexMatrix:
@@ -146,6 +153,11 @@ def group_eigenvalues(values) -> list:
     return groups
 
 
+def _zero_tol(evals: np.ndarray) -> float:
+    """Eigenvalues of P at or below this count as zero; evals sorted ascending."""
+    return REL_TOL * max(1.0, float(abs(evals[-1]))) + ABS_TOL
+
+
 def _orth_basis(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, rank-truncated by RANK_TOL."""
     if columns.size == 0:
@@ -162,8 +174,7 @@ def verify_decomposition(cx: DiracComplexMatrix) -> dict:
     and whether the dimensions exhaust the space.
     """
     evals, evecs = np.linalg.eigh(cx.P)
-    scale = max(1.0, float(abs(evals[-1])))
-    kernel = evecs[:, np.abs(evals) <= REL_TOL * scale + ABS_TOL]
+    kernel = evecs[:, np.abs(evals) <= _zero_tol(evals)]
     exact = _orth_basis(cx.d @ evecs)       # range(d)
     coexact = _orth_basis(cx.delta @ evecs)  # range(delta)
     dims = (kernel.shape[1], exact.shape[1], coexact.shape[1])
@@ -179,25 +190,26 @@ def verify_decomposition(cx: DiracComplexMatrix) -> dict:
     }
 
 
-def exact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
-    """Sorted positive eigenvalues of P restricted to range(d)."""
-    basis = _orth_basis(cx.d)
+def _positive_spectrum(cx: DiracComplexMatrix, span: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of P restricted to the column span of span."""
+    basis = _orth_basis(span)
     if basis.shape[1] == 0:
         return np.zeros(0)
     return np.sort(np.linalg.eigvalsh(basis.T @ cx.P @ basis))
+
+
+def exact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
+    """Sorted positive eigenvalues of P restricted to range(d)."""
+    return _positive_spectrum(cx, cx.d)
 
 
 def coexact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
-    basis = _orth_basis(cx.delta)
-    if basis.shape[1] == 0:
-        return np.zeros(0)
-    return np.sort(np.linalg.eigvalsh(basis.T @ cx.P @ basis))
+    return _positive_spectrum(cx, cx.delta)
 
 
 def harmonic_dimension(cx: DiracComplexMatrix) -> int:
     evals = np.linalg.eigvalsh(cx.P)
-    scale = max(1.0, float(abs(evals[-1])))
-    return int(np.sum(np.abs(evals) <= REL_TOL * scale + ABS_TOL))
+    return int(np.sum(np.abs(evals) <= _zero_tol(evals)))
 
 
 @dataclass(frozen=True)
@@ -217,8 +229,7 @@ def verify_eigenspace_pairing(cx: DiracComplexMatrix, lam: float) -> EigenspaceS
     """
     lam = float(lam)
     evals, evecs = np.linalg.eigh(cx.P)
-    scale = max(1.0, float(abs(evals[-1])))
-    if lam <= REL_TOL * scale + ABS_TOL:
+    if lam <= _zero_tol(evals):
         raise ValueError("pairing is claimed only for positive eigenvalues")
     mask = np.abs(evals - lam) <= REL_TOL * abs(lam) + ABS_TOL
     if not mask.any():

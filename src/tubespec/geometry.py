@@ -33,8 +33,6 @@ __all__ = [
     "DegenerationSchedule",
     "schedule_instantiate",
     "aux_phi_psi",
-    "geometry_to_json",
-    "geometry_from_json",
     "schedule_to_json",
     "schedule_from_json",
 ]
@@ -191,20 +189,6 @@ def aux_phi_psi(geometry: TubeGeometry, u):
     return phi, psi
 
 
-def geometry_to_json(geom: TubeGeometry) -> dict:
-    doc = {"R": geom.R, "R0": geom.R0, "epsilon": geom.epsilon, "rho": geom.rho}
-    if geom.r0 is not None:
-        doc["r0"] = geom.r0
-    return doc
-
-
-def geometry_from_json(doc: dict) -> TubeGeometry:
-    check_fields(doc, "geometry", {"R", "r0", "R0", "epsilon", "rho"},
-                 ("R", "epsilon", "rho"))
-    return TubeGeometry(R=doc["R"], epsilon=doc["epsilon"], rho=doc["rho"],
-                        r0=doc.get("r0"), R0=doc.get("R0"))
-
-
 def schedule_to_json(sched: DegenerationSchedule) -> dict:
     return {"D1": sched.D1, "D2": sched.D2, "E1": sched.E1, "E2": sched.E2,
             "R_grid": list(sched.R_grid)}
@@ -212,8 +196,4 @@ def schedule_to_json(sched: DegenerationSchedule) -> dict:
 
 def schedule_from_json(doc: dict) -> DegenerationSchedule:
     check_fields(doc, "schedule", {"D1", "D2", "E1", "E2", "R_grid"})
-    return DegenerationSchedule(
-        D1=doc.get("D1", 1.0), D2=doc.get("D2", 1.0),
-        E1=doc.get("E1", 1.0), E2=doc.get("E2", 1.0),
-        R_grid=tuple(doc.get("R_grid", ())),
-    )
+    return DegenerationSchedule(**doc)

@@ -27,7 +27,6 @@ within combined error bars.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -268,7 +267,8 @@ _CHUNK = 4096
 
 
 def _phase_engine(problem: SLProblem):
-    """Callable (lam, n) -> right-end phase, caching midpoint samples per n.
+    """Callable (lam, n) -> right-end phase; one engine serves one solve and
+    keeps each mesh's midpoint samples and every phase it has advanced.
 
     Each cell with lambda - q frozen at c advances the phase exactly.  For
     c > 0 (oscillatory) the modified phase atan2(om a, a') grows by om h,
@@ -279,10 +279,13 @@ def _phase_engine(problem: SLProblem):
     """
     theta0 = _theta_start(problem)
     cache: dict[int, np.ndarray] = {}
+    memo: dict[tuple, float] = {}
     pi = math.pi
     sin, cos, atan2, floor = math.sin, math.cos, math.atan2, math.floor
 
     def theta_at(lam: float, n: int) -> float:
+        if (lam, n) in memo:
+            return memo[lam, n]
         qbar = cache.get(n)
         if qbar is None:
             h = problem.length / n
@@ -321,6 +324,7 @@ def _phase_engine(problem: SLProblem):
                     theta = (n_in + 1) * pi
                 else:
                     theta = (n_in + 1) * pi + atan2(-a2, -b2)
+        memo[lam, n] = theta
         return theta
 
     return theta_at
@@ -432,10 +436,8 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     roots = {}
     index_sets = []
     for mesh in (n, 2 * n):
-        phase = functools.lru_cache(maxsize=None)(
-            functools.partial(theta_at, n=mesh))
-        th_lo = phase(lo)
-        th_hi = phase(hi)
+        th_lo = theta_at(lo, mesh)
+        th_hi = theta_at(hi, mesh)
         js = _window_indices(th_lo, th_hi, target)
         index_sets.append(js)
         if mesh == n:
@@ -453,7 +455,7 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                 # there is nothing for the root finder to bracket.
                 lam = hi
             else:
-                lam = _bracketed_root(lambda x: phase(x) - tau, lo, hi,
+                lam = _bracketed_root(lambda x: theta_at(x, mesh) - tau, lo, hi,
                                       guesses.get(j), xtol)
             roots.setdefault(j, {})[mesh] = lam
     if index_sets[0] != index_sets[1]:

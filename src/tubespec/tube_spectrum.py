@@ -278,6 +278,13 @@ class SweepOptions(_WindowOptions):
     family: str = "Both"
     include_zero_mode: bool = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "threshold", float(self.threshold))
+        if not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
+        object.__setattr__(self, "include_zero_mode", bool(self.include_zero_mode))
+
 
 @dataclass(frozen=True)
 class SweepRow:

@@ -257,6 +257,11 @@ def test_bad_override_shape_is_input_error(tmp_path, capsys):
         ["sl-solve", "--config", sl_cfg, "--override", "window=[0,10,3]"],
         ["tube-sweep", "--override", "family=Bogus", "--override", "R_grid=[6]"],
         ["tube-sweep", "--override", "lambda_max=-1", "--override", "R_grid=[6]"],
+        ["tube-sweep", "--override", "threshold=NaN", "--override", "R_grid=[1.2]"],
+        # a grid past cli.MAX_T_GRID_POINTS, or a non-finite one, is refused
+        # before any grid point is built
+        ["berger-curve", "--override", "t_max=1e12"],
+        ["berger-curve", "--override", "t_max=Infinity"],
     ]
     out = tmp_path / "out"
     for argv in bad:

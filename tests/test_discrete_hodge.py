@@ -210,3 +210,20 @@ def test_s1_degenerate_inputs():
         s1_case_study(64, 0.0)
     with pytest.raises(ValueError, match="degenerate overlap"):
         s1_case_study(64, 0.01)  # e rounds to 0
+
+
+@pytest.mark.parametrize("build", [lambda: build_circle_complex(16),
+                                   lambda: build_interval_complex(9, 1.0, "Absolute"),
+                                   lambda: build_interval_complex(9, 1.0, "Relative")],
+                         ids=["circle", "Absolute", "Relative"])
+def test_complex_stores_only_d_and_P(build):
+    import dataclasses
+    cx = build()
+    arrays = [f.name for f in dataclasses.fields(cx)
+              if isinstance(getattr(cx, f.name), np.ndarray)]
+    assert arrays == ["d", "P"]
+    grading = np.diag([1.0] * cx.dim_plus + [-1.0] * cx.dim_minus)
+    assert np.array_equal(cx.delta, cx.d.T)
+    assert np.array_equal(cx.T, grading)
+    assert np.array_equal(cx.Q, cx.d + cx.d.T)
+    assert np.array_equal(cx.P, cx.Q @ cx.Q)

@@ -13,8 +13,6 @@ from tubespec.geometry import (
     TubeGeometry,
     WarpedProfile,
     aux_phi_psi,
-    geometry_from_json,
-    geometry_to_json,
     schedule_from_json,
     schedule_instantiate,
     schedule_to_json,
@@ -168,18 +166,6 @@ def test_profile_identities_hold_for_random_geometries(R, frac):
                        rtol=1e-13)
     assert np.all(prof.beta(u) == -2.0 * prof.H(u))
     assert np.all(prof.f(u) >= 1.0) and np.all(prof.h(u) > 0.0)
-
-
-def test_geometry_json_round_trip():
-    geom = TubeGeometry(R=6.0, r0=0.2, R0=5.0,
-                        epsilon=math.exp(-12.0), rho=math.exp(-6.0))
-    doc = geometry_to_json(geom)
-    back = geometry_from_json(doc)
-    assert back == geom
-    with pytest.raises(ValueError):
-        geometry_from_json({**doc, "surprise": 1})
-    with pytest.raises(ValueError):
-        geometry_from_json({"R": 6.0})
 
 
 def test_schedule_json_round_trip():

@@ -186,3 +186,18 @@ def test_tube_mode_potential_feeds_comparison():
                           step=1.0 / 1024.0)
     assert verify_riccati(case)["passed"]
     assert dirichlet_growth(case, delta=problem.m0 + 0.25)["passed"]
+
+
+def test_a1_suite_integrates_each_case_once(monkeypatch):
+    import tubespec.ode_compare as oc
+    calls = []
+    real = oc.integrate_pair
+
+    def counting(case, mode):
+        calls.append(mode)
+        return real(case, mode)
+
+    monkeypatch.setattr(oc, "integrate_pair", counting)
+    report = a1_suite_report(count=3)
+    assert calls == ["RobinStart"] * 3
+    assert report["all_passed"]

@@ -239,9 +239,13 @@ def _count_phase_evaluations(monkeypatch):
 
     def counting(problem):
         theta_at = real(problem)
+        seen = set()
 
         def counted(lam, n):
-            calls.append(n)
+            # the engine memoizes, so only a new (lam, n) advances n cells
+            if (lam, n) not in seen:
+                seen.add((lam, n))
+                calls.append(n)
             return theta_at(lam, n)
         return counted
 
@@ -376,3 +380,27 @@ def test_phase_engine_matches_scalar_loop(lam):
     got = sl._phase_engine(p)(lam, n)
     # the engine's numpy expm1 may differ from math.expm1 in the last bit
     assert abs(got - theta) <= 1e-12 * max(1.0, abs(theta))
+
+
+def test_phase_engine_advances_each_phase_once(monkeypatch):
+    import tubespec.sturm_liouville as sl
+    calls = []
+    real = math.atan2
+
+    def counting(y, x):
+        calls.append(1)
+        return real(y, x)
+
+    # the engine binds math.atan2 when it is built; every oscillatory cell
+    # (here lam > q everywhere) calls it twice
+    monkeypatch.setattr(math, "atan2", counting)
+    p = SLProblem(q=lambda u: 1.0 + u, m0=0.0, m1=2.0,
+                  bc_left=BoundaryCondition.robin(0.5), bc_right=DIR)
+    theta_at = sl._phase_engine(p)
+    calls.clear()
+    first = theta_at(3.5, 512)
+    assert len(calls) == 2 * 512
+    assert theta_at(3.5, 512) == first
+    assert len(calls) == 2 * 512
+    theta_at(3.5, 1024)
+    assert len(calls) == 2 * (512 + 1024)
