@@ -49,6 +49,9 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 # rank / orthogonality cutoff for dense bases
 RANK_TOL = 1e-10
+# s1_case_study diagonalizes dense complexes whose memory grows as n^2: the
+# peak is 373 MB at n = 1024, so about 1.5 GB at this limit by that scaling
+MAX_CASE_STUDY_N = 2048
 
 
 @dataclass(frozen=True)
@@ -316,6 +319,8 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
     """
     if n < 32:
         raise ValueError("case study needs n >= 32")
+    if n > MAX_CASE_STUDY_N:
+        raise ValueError(f"case study n={n} exceeds the limit of {MAX_CASE_STUDY_N}")
     if n % 2:
         raise ValueError("case study needs even n")
     frac = float(arcs_overlap_fraction)

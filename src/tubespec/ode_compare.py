@@ -45,6 +45,9 @@ _DENOM_GUARD = 1e-10
 _RICCATI_TOL = 1e-8
 _SLOPE_TOL = 1e-6
 _GROWTH_TOL = 1e-8
+# cases per suite run: each A.1 or A.2 case takes about 17 ms (2-core VM),
+# so the limit is about 17 s of work
+MAX_SUITE_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -309,6 +312,8 @@ def a1_suite_report(seed: int = 7, count: int = 20) -> dict:
     """Randomized Riccati + asymptotic-slope suite on [0, 10/k] per case."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_SUITE_COUNT:
+        raise ValueError(f"count {count} exceeds the limit of {MAX_SUITE_COUNT}")
     rng = np.random.default_rng(seed)
     cases = []
     all_passed = True
@@ -338,6 +343,8 @@ def a2_suite_report(seed: int = 7, count: int = 10) -> dict:
     """Randomized Dirichlet growth suite on [0, 8/k] with delta = m0 + 1/k."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_SUITE_COUNT:
+        raise ValueError(f"count {count} exceeds the limit of {MAX_SUITE_COUNT}")
     rng = np.random.default_rng(seed)
     cases = []
     all_passed = True

@@ -53,6 +53,10 @@ __all__ = [
 ]
 
 MIN_INTERVAL = 1e-6
+# solve_fd time and memory grow linearly in grid_n: 2^18 took about 4 s and
+# a 52 MB peak on a 5-eigenvalue window (2-core VM); the shooting mesh stops
+# at the same size (_N_MAX)
+MAX_FD_GRID_N = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -221,6 +225,8 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     """
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
+    if grid_n > MAX_FD_GRID_N:
+        raise ValueError(f"grid_n={grid_n} exceeds the limit of {MAX_FD_GRID_N}")
     lo, hi = _check_window(window)
     probe = problem.q_values(np.linspace(problem.m0, problem.m1, 4 * grid_n + 1))
     if not np.all(np.isfinite(probe)):

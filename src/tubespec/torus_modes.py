@@ -13,11 +13,12 @@ and eigenvalues
 
     kappa_i(u) = (2 pi s + r rho)^2 / (f(u)^2 epsilon^2) + r^2 / h(u)^2.
 
-Both kappa summands are increasing in u on [r0, R0] (f and h decrease
-toward the outer boundary), so the infimum of kappa over u sits at u = r0.
-The truncation machinery below leans on that: lattice minima are certified
-against everything outside the lattice by evaluating the wraparound strip
-|r| <= 2 pi / rho at u = r0 plus closed-form tails.
+With f = cosh(x) and h = sinh(x) at x = R - u, both kappa summands are
+nondecreasing in u on [r0, R0]: x > 0 (R0 < R) falls as u rises, and cosh
+and sinh increase on x > 0, so 1/f^2 and 1/h^2 rise.  The infimum of every
+kappa_i over [r0, R0] is therefore kappa_i(r0), and the truncation
+certificate evaluates every floor there: the lattice modes, the
+wraparound strip |r| <= 2 pi / rho and the closed-form tails outside it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ __all__ = [
     "min_offzero_kappa",
     "verify_mode_identities",
 ]
-
-# u-grid spacing for infima sweeps; kappa is monotone in u so this is
-# generous, but the spec'd sweep keeps the check independent of that fact.
-U_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True, order=True)
@@ -83,11 +80,6 @@ def enumerate_modes(M_max: int) -> list[ModeIndex]:
             for s in range(-M_max, M_max + 1)]
 
 
-def _u_grid(r0: float, R0: float) -> np.ndarray:
-    n = max(1, int(math.ceil((R0 - r0) / U_GRID_STEP)))
-    return np.linspace(r0, R0, n + 1)
-
-
 def _outside_lattice_floor(geometry: TubeGeometry, M_max: int) -> float:
     """Certified lower bound on inf_u kappa over all modes outside the lattice.
 
@@ -97,7 +89,8 @@ def _outside_lattice_floor(geometry: TubeGeometry, M_max: int) -> float:
         u = r0 over the three s nearest -r rho / (2 pi); any other s has
         |w| >= 3 pi.
       * |r| beyond the strip: kappa >= r^2 / h(r0)^2 already clears it.
-    All evaluations at u = r0, where both kappa summands take their minima.
+    All evaluations at u = r0, where every kappa_i takes its infimum over
+    [r0, R0] (module docstring), so this floor covers the whole interval.
     """
     r0 = geometry.require_r0()
     eps, rho = geometry.epsilon, geometry.rho
@@ -133,29 +126,29 @@ def _outside_lattice_floor(geometry: TubeGeometry, M_max: int) -> float:
     return min(tail_s, strip_min, tail_far, tail_ws)
 
 
-def min_offzero_kappa(geometry: TubeGeometry, M_max: int,
-                      with_certificate: bool = False):
+def min_offzero_kappa(geometry: TubeGeometry, M_max: int):
     """Minimum of kappa over u in [r0, R0] and lattice modes != (0, 0).
 
-    The result comes with a certificate that enlarging M_max cannot lower
-    it: the lattice boundary ring and everything outside the lattice are
-    bounded below by the achieved minimum.  Certificate failure raises with
-    an "increase M_max" message.
+    Returns (minimum, certificate).  Each mode's infimum over [r0, R0] is
+    its value at r0 (module docstring), so the minimum is taken over the
+    lattice at u = r0.  The certificate shows that enlarging M_max cannot
+    lower it: the lattice boundary ring and everything outside the lattice
+    are bounded below by the achieved minimum.  Certificate failure raises
+    with an "increase M_max" message.
     """
     if M_max < 1:
         raise ValueError("increase M_max: lattice holds no off-zero mode")
-    r0 = geometry.require_r0()
-    grid = _u_grid(r0, geometry.R0)
-    inv_f2 = 1.0 / np.cosh(geometry.R - grid) ** 2
-    inv_h2 = 1.0 / np.sinh(geometry.R - grid) ** 2
+    # numpy's cosh/sinh, not math's: they differ in the last bit for some
+    # x0, which would move the reported minimum
+    x0 = np.array([geometry.R - geometry.require_r0()])
+    inv_f2 = 1.0 / np.cosh(x0) ** 2
+    inv_h2 = 1.0 / np.sinh(x0) ** 2
 
     modes = [m for m in enumerate_modes(M_max) if not m.is_zero]
     r = np.array([m.r for m in modes], dtype=float)
     s = np.array([m.s for m in modes], dtype=float)
     w = 2.0 * math.pi * s + r * geometry.rho
-    # (modes, grid) sweep of both separable terms
-    k = np.outer(w**2 / geometry.epsilon**2, inv_f2) + np.outer(r**2, inv_h2)
-    per_mode = k.min(axis=1)
+    per_mode = w**2 / geometry.epsilon**2 * inv_f2 + r**2 * inv_h2
     imin = int(np.argmin(per_mode))
     achieved = float(per_mode[imin])
 
@@ -168,17 +161,14 @@ def min_offzero_kappa(geometry: TubeGeometry, M_max: int,
             f"increase M_max: lattice M_max={M_max} cannot certify the minimum "
             f"(achieved {achieved:.6g}, boundary ring {ring_min:.6g}, "
             f"outside floor {outside:.6g})")
-    if with_certificate:
-        cert = {
-            "M_max": M_max,
-            "achieved": achieved,
-            "argmin_mode": (modes[imin].r, modes[imin].s),
-            "ring_min": ring_min,
-            "outside_floor": outside,
-            "u_grid_points": int(grid.size),
-        }
-        return achieved, cert
-    return achieved
+    cert = {
+        "M_max": M_max,
+        "achieved": achieved,
+        "argmin_mode": (modes[imin].r, modes[imin].s),
+        "ring_min": ring_min,
+        "outside_floor": outside,
+    }
+    return achieved, cert
 
 
 def _g_value(mode: ModeIndex, geometry: TubeGeometry, u, t, theta):

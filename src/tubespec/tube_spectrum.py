@@ -134,16 +134,6 @@ def assemble_mode_problem(mode: ModeIndex, geometry: TubeGeometry,
     return SLProblem(q=q, m0=r0, m1=R0, bc_left=bc_l, bc_right=bc_r)
 
 
-def _mode_inf_kappa(mode: ModeIndex, geometry: TubeGeometry) -> float:
-    """inf over [r0, R0] of this mode's kappa, swept on a fine grid.
-
-    Both kappa summands are increasing in u, so the grid minimum equals the
-    value at r0; the sweep keeps the skip decision independent of that fact.
-    """
-    u = np.linspace(geometry.require_r0(), geometry.R0, 513)
-    return float(np.min(kappa_value(mode.r, mode.s, u, geometry)))
-
-
 def _certified_lattice(geometry: TubeGeometry, cutoff: float = -math.inf):
     """(M_max, inf kappa, certificate) at the first ladder rung that certifies.
 
@@ -155,7 +145,7 @@ def _certified_lattice(geometry: TubeGeometry, cutoff: float = -math.inf):
     last_err = None
     for M in _M_MAX_LADDER:
         try:
-            achieved, cert = min_offzero_kappa(geometry, M, with_certificate=True)
+            achieved, cert = min_offzero_kappa(geometry, M)
         except RuntimeError as exc:
             last_err = exc
             continue
@@ -181,8 +171,10 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
 
     A mode/family pair is solved unless inf_u kappa - C(beta) > lambda_max,
     where C is the attractive-boundary constant of that family (zero for
-    Dirichlet); everything outside the mode lattice is certified skippable
-    the same way.  Every solve runs both methods and must cross-validate.
+    Dirichlet) and inf_u kappa is the mode's kappa at r0, where it is
+    smallest on [r0, R0]; everything outside the mode lattice is certified
+    skippable the same way, by floors also taken at r0.  Every solve runs
+    both methods and must cross-validate.
     """
     geom = request.geometry
     lam_max = request.lambda_max
@@ -199,10 +191,11 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
     modes = [m for m in enumerate_modes(M_used)
              if request.include_zero_mode or not m.is_zero]
 
+    inf_kappa = kappa_value(np.array([m.r for m in modes]),
+                            np.array([m.s for m in modes]), geom.r0, geom)
     solved = {}
     entries = []
-    for mode in modes:
-        inf_q = _mode_inf_kappa(mode, geom)
+    for mode, inf_q in zip(modes, inf_kappa.tolist()):
         for fam in request.families:
             if inf_q - c_beta[fam] > lam_max:
                 continue

@@ -262,6 +262,11 @@ def test_bad_override_shape_is_input_error(tmp_path, capsys):
         # before any grid point is built
         ["berger-curve", "--override", "t_max=1e12"],
         ["berger-curve", "--override", "t_max=Infinity"],
+        # sizes past ode_compare.MAX_SUITE_COUNT, discrete_hodge.MAX_CASE_STUDY_N
+        # and sturm_liouville.MAX_FD_GRID_N are refused before any work
+        ["compare-ode", "--override", "count=1e9"],
+        ["s1-dissect", "--override", "n=100000000"],
+        ["sl-solve", "--config", sl_cfg, "--override", "grid_n=100000000"],
     ]
     out = tmp_path / "out"
     for argv in bad:

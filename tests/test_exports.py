@@ -1,13 +1,17 @@
-"""Package-wide checks: every __all__ name exists, no assert statement in the source."""
+"""Package-wide checks: every __all__ name exists, no assert statement in the
+source, and every function the benchmark's tracer wraps is still there."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
 import tubespec
+from tubespec import torus_modes, tube_spectrum
 
 MODULES = ["tubespec"] + [f"tubespec.{m.name}"
                           for m in pkgutil.iter_modules(tubespec.__path__)]
@@ -28,3 +32,20 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # perfbench/spans.py wraps these by name and rebinds the module globals
+    # bound to them; a refactor that renames or re-imports one breaks traced
+    # benchmark runs, so it fails here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses resolve annotations through sys.modules; undone after the test
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{func}" for module, func, _, _ in spans.TARGETS
+               if not callable(getattr(importlib.import_module(f"tubespec.{module}"),
+                                       func, None))]
+    assert missing == []
+    assert tube_spectrum.min_offzero_kappa is torus_modes.min_offzero_kappa

@@ -89,7 +89,7 @@ def test_kappa_symmetry_and_sign(r, s, frac):
 def test_min_offzero_against_brute_force():
     # dense lattice at doubled M_max plus a fine u grid must not find less
     geom = _tube(8.0, r0=3.0)
-    achieved, cert = min_offzero_kappa(geom, M_max=4, with_certificate=True)
+    achieved, cert = min_offzero_kappa(geom, M_max=4)
     u = np.linspace(geom.r0, geom.R0, 20001)
     brute = math.inf
     for r in range(-8, 9):
@@ -105,8 +105,8 @@ def test_min_offzero_against_brute_force():
 
 def test_min_offzero_stable_under_M_doubling():
     geom = _tube(6.0)
-    v1 = min_offzero_kappa(geom, M_max=2)
-    v2 = min_offzero_kappa(geom, M_max=4)
+    v1, _ = min_offzero_kappa(geom, M_max=2)
+    v2, _ = min_offzero_kappa(geom, M_max=4)
     assert v1 == v2
 
 
@@ -114,15 +114,58 @@ def test_min_offzero_schedule_floor():
     # under the tight schedule the off-zero minimum clears (E1/D2 e^{r0})^2
     for R in (6.0, 8.0, 10.0):
         geom = _tube(R)
-        achieved = min_offzero_kappa(geom, M_max=2)
+        achieved, _ = min_offzero_kappa(geom, M_max=2)
         assert achieved >= math.exp(2.0 * geom.r0)
 
 
 def test_min_offzero_rho_zero_minimizer():
     geom = TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=0.0, r0=0.2, R0=5.0)
-    achieved, cert = min_offzero_kappa(geom, 2, with_certificate=True)
+    achieved, cert = min_offzero_kappa(geom, 2)
     assert tuple(cert["argmin_mode"]) in {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert achieved > 0.0
+
+
+def _monotonicity_geometries():
+    out = []
+    for R in range(2, 13):
+        geom = schedule_instantiate(DegenerationSchedule(R_grid=(float(R),)), 0)
+        out += [geom.with_r0(0.0), geom.with_r0(geom.R0 - 1e-3)]
+    out.append(TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=0.0, r0=0.2, R0=5.0))
+    out.append(TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=math.exp(-6.0),
+                            r0=0.2, R0=6.0 - 1e-3))
+    return out
+
+
+@pytest.mark.parametrize(
+    "geom", _monotonicity_geometries(),
+    ids=lambda g: f"R={g.R:g}-r0={g.r0:g}-R0={g.R0:g}-rho={g.rho:.3g}")
+def test_kappa_nondecreasing_on_the_interval(geom):
+    # min_offzero_kappa and the skip floors evaluate every mode at r0 only;
+    # that is exact because no kappa_i decreases on [r0, R0]
+    modes = enumerate_modes(4)
+    r = np.array([[m.r] for m in modes])
+    s = np.array([[m.s] for m in modes])
+    u = np.linspace(geom.r0, geom.R0, 4001)
+    k = kappa_value(r, s, u, geom)
+    assert k.shape == (len(modes), u.size)
+    assert np.all(np.diff(k, axis=1) >= 0.0)
+    for M in (1, 2, 4):
+        achieved, _ = min_offzero_kappa(geom, M)
+        inside = [(abs(m.r) <= M and abs(m.s) <= M and not m.is_zero) for m in modes]
+        # kappa_value and min_offzero_kappa's separable form round apart by
+        # up to a few ulp
+        assert achieved <= k[np.asarray(inside)].min() * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def test_min_offzero_returns_value_and_certificate():
+    result = min_offzero_kappa(_tube(6.0), 2)
+    assert isinstance(result, tuple) and len(result) == 2
+    achieved, cert = result
+    assert isinstance(achieved, float) and isinstance(cert, dict)
+    assert cert["achieved"] == achieved
+    assert set(cert) == {"M_max", "achieved", "argmin_mode", "ring_min", "outside_floor"}
+    with pytest.raises(TypeError):
+        min_offzero_kappa(_tube(6.0), 2, with_certificate=True)
 
 
 def test_min_offzero_insufficient_lattice():
