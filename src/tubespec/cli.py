@@ -70,7 +70,6 @@ def cmd_sl_solve(args, config: dict) -> int:
     window = tuple(config["window"])
     method = config.get("method", "cross")
     grid_n = int(config.get("grid_n", 256))
-    out = _outdir(args)
 
     results = {}
     if method == "fd":
@@ -89,6 +88,7 @@ def cmd_sl_solve(args, config: dict) -> int:
         results["cross_validated"] = primary.to_json()
     else:
         raise ValueError(f"method must be fd, shooting, or cross, got {method!r}")
+    out = _outdir(args)
 
     write_json(out / "sl_solve.json", {
         "problem": problem_to_json(problem),

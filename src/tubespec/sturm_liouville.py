@@ -7,15 +7,17 @@ inside a finite eigenvalue window.  Two methods that share no code path:
   * symmetric finite differences with ghost-point Robin elimination, on
     meshes n and 2n, Richardson-extrapolated;
   * Pruefer phase shooting, propagating the phase exactly across cells on
-    which q is frozen at its midpoint, with eigenvalues located by root
-    finding on the right-end phase.
+    which q is frozen at its midpoint.  The right-end phase picks the mesh
+    and counts the eigenvalues in the window; each eigenvalue is then
+    located by root finding on a matched phase, run from both ends to the
+    node where q is lowest, which stays smooth in lambda where q is stiff.
 
 Shooting may take FD eigenvalues as seeds for its root brackets.  A seeded
-bracket is used only after phase evaluations at its ends show the sign
-change; otherwise it is widened, up to the whole window.  The phase is
-monotone in lambda, so every accepted bracket holds the same unique root:
-seeds save phase evaluations but cannot change which roots shooting finds,
-and the window count still comes from the phase alone.
+bracket is used only after matched-phase evaluations at its ends show the
+sign change; otherwise it is widened, up to the whole window.  The matched
+phase is monotone in lambda, so every accepted bracket holds the same unique
+root: seeds save phase evaluations but cannot change which roots shooting
+finds, and the window count still comes from the right-end phase alone.
 
 The piecewise-frozen propagation replaces naive Runge-Kutta stepping of the
 phase ODE: the tube potentials reach ~1e8 where any explicit stepper needs
@@ -272,9 +274,9 @@ def _theta_target(problem: SLProblem) -> float:
 _CHUNK = 4096
 
 
-def _phase_engine(problem: SLProblem):
-    """Callable (lam, n) -> right-end phase; one engine serves one solve and
-    keeps each mesh's midpoint samples and every phase it has advanced.
+def _advance(theta: float, qbar_cells, lam: float, h: float) -> float:
+    """Phase after the cells of width h whose frozen q values are qbar_cells,
+    entered at phase theta.
 
     Each cell with lambda - q frozen at c advances the phase exactly.  For
     c > 0 (oscillatory) the modified phase atan2(om a, a') grows by om h,
@@ -283,57 +285,85 @@ def _phase_engine(problem: SLProblem):
     nothing overflows, and expm1 keeps 1 - exp(-2 om h) accurate when om h
     is tiny.
     """
-    theta0 = _theta_start(problem)
-    cache: dict[int, np.ndarray] = {}
-    memo: dict[tuple, float] = {}
     pi = math.pi
     sin, cos, atan2, floor = math.sin, math.cos, math.atan2, math.floor
+    for start in range(0, len(qbar_cells), _CHUNK):
+        c = lam - qbar_cells[start:start + _CHUNK]
+        om = np.sqrt(np.abs(c))
+        em = -np.expm1(-2.0 * om * h)                # 1 - exp(-2 om h)
+        for ci, omi, emi in zip(c.tolist(), om.tolist(), em.tolist()):
+            if ci > 0.0:
+                k = round(theta / pi)
+                delta = theta - k * pi
+                phi = k * pi + atan2(omi * sin(delta), cos(delta)) + omi * h
+                k = round(phi / pi)
+                delta = phi - k * pi
+                theta = k * pi + atan2(sin(delta), omi * cos(delta))
+                continue
+            n_in = floor(theta / pi)
+            delta = theta - n_in * pi
+            a, b = sin(delta), cos(delta)
+            if ci == 0.0:
+                a2, b2 = a + h * b, b
+            else:
+                E = 1.0 - emi
+                a2 = 0.5 * ((1.0 + E) * a + emi / omi * b)
+                b2 = 0.5 * (omi * emi * a + (1.0 + E) * b)
+            if a2 > 0.0:
+                theta = n_in * pi + atan2(a2, b2)
+            elif a2 == 0.0:
+                theta = (n_in + 1) * pi
+            else:
+                theta = (n_in + 1) * pi + atan2(-a2, -b2)
+    return theta
 
-    def theta_at(lam: float, n: int) -> float:
-        if (lam, n) in memo:
-            return memo[lam, n]
-        qbar = cache.get(n)
-        if qbar is None:
+
+def _phase_engine(problem: SLProblem):
+    """The two phases (lam, n) -> float of one solve, as (theta, matched).
+
+    Both share each mesh's midpoint samples of q, and each remembers every
+    value it has returned.
+
+    theta is the phase at m1 reached from m0.  matched is
+    D = theta_L(u_k) + theta~_R(u_k): the phase from m0 and the phase of the
+    mirrored problem a(m0 + m1 - u), run from m1, meet at the node u_k left
+    of the cell where q is lowest.  Mirroring flips the sign of a', so the
+    mirrored start is atan2(1, -beta_right), or 0 for Dirichlet.  Both runs
+    head into the well, so D has no staircase where q is stiff; it is
+    increasing in lam, and eigenvalue j is its root D = (j + 1) pi.
+    """
+    theta0 = _theta_start(problem)
+    bc = problem.bc_right
+    mirror0 = math.atan2(1.0, -bc.beta) if bc.is_robin else 0.0
+    meshes: dict[int, tuple] = {}
+    theta_memo: dict[tuple, float] = {}
+    matched_memo: dict[tuple, float] = {}
+
+    def mesh(n: int):
+        """(qbar, k, h): midpoint samples, matching node, cell width."""
+        if n not in meshes:
             h = problem.length / n
-            mids = problem.m0 + h * (np.arange(n) + 0.5)
-            qbar = problem.q_values(mids)
+            qbar = problem.q_values(problem.m0 + h * (np.arange(n) + 0.5))
             if not np.all(np.isfinite(qbar)):
                 raise RuntimeError("integrator step failure: potential not finite")
-            cache[n] = qbar
-        h = problem.length / n
-        theta = theta0
-        for start in range(0, n, _CHUNK):
-            c = lam - qbar[start:start + _CHUNK]
-            om = np.sqrt(np.abs(c))
-            em = -np.expm1(-2.0 * om * h)            # 1 - exp(-2 om h)
-            for ci, omi, emi in zip(c.tolist(), om.tolist(), em.tolist()):
-                if ci > 0.0:
-                    k = round(theta / pi)
-                    delta = theta - k * pi
-                    phi = k * pi + atan2(omi * sin(delta), cos(delta)) + omi * h
-                    k = round(phi / pi)
-                    delta = phi - k * pi
-                    theta = k * pi + atan2(sin(delta), omi * cos(delta))
-                    continue
-                n_in = floor(theta / pi)
-                delta = theta - n_in * pi
-                a, b = sin(delta), cos(delta)
-                if ci == 0.0:
-                    a2, b2 = a + h * b, b
-                else:
-                    E = 1.0 - emi
-                    a2 = 0.5 * ((1.0 + E) * a + emi / omi * b)
-                    b2 = 0.5 * (omi * emi * a + (1.0 + E) * b)
-                if a2 > 0.0:
-                    theta = n_in * pi + atan2(a2, b2)
-                elif a2 == 0.0:
-                    theta = (n_in + 1) * pi
-                else:
-                    theta = (n_in + 1) * pi + atan2(-a2, -b2)
-        memo[lam, n] = theta
-        return theta
+            meshes[n] = (qbar, int(np.argmin(qbar)), h)
+        return meshes[n]
 
-    return theta_at
+    def theta(lam: float, n: int) -> float:
+        if (lam, n) not in theta_memo:
+            qbar, _, h = mesh(n)
+            theta_memo[lam, n] = _advance(theta0, qbar, lam, h)
+        return theta_memo[lam, n]
+
+    def matched(lam: float, n: int) -> float:
+        if (lam, n) not in matched_memo:
+            qbar, k, h = mesh(n)
+            # views, not copies: qbar[k:][::-1] runs the mirrored cells
+            matched_memo[lam, n] = (_advance(theta0, qbar[:k], lam, h)
+                                    + _advance(mirror0, qbar[k:][::-1], lam, h))
+        return matched_memo[lam, n]
+
+    return theta, matched
 
 
 _PHASE_TOL = 1e-9
@@ -382,14 +412,15 @@ def _window_indices(theta_lo, theta_hi, target):
     return list(range(max(0, j_min), j_max + 1))
 
 
-# Root brackets.  Root j is first bracketed in [g - w, g + w] around an
-# estimate g; the bracket is kept only when the phase at its ends shows the
-# sign change, and w grows by _WIDEN up to the whole window otherwise.
-# Because theta(m1; lam) is increasing, any bracket that passes holds the
-# same unique root, so a wrong estimate costs phase evaluations, never a
-# different answer.  An FD seed with error bar e starts at w = _FD_WIDTH e.
-# Every w is at least _MIN_WIDTH max(1, |g|), about the smallest shift of a
-# root between meshes n and 2n at the default phase tolerance.
+# Root brackets.  Root j is found on the matched phase D of each mesh; it
+# is first bracketed in [g - w, g + w] around an estimate g, the bracket is
+# kept only when D at its ends shows the sign change, and w grows by _WIDEN
+# up to the whole window otherwise.  Because D is increasing in lam, any
+# bracket that passes holds the same unique root, so a wrong estimate costs
+# phase evaluations, never a different answer.  An FD seed with error bar e
+# starts at w = _FD_WIDTH e.  Every w is at least _MIN_WIDTH max(1, |g|),
+# about the smallest shift of a root between meshes n and 2n at the default
+# phase tolerance.
 _FD_WIDTH = 2.0
 _MIN_WIDTH = 1e-8
 _WIDEN = 4.0
@@ -404,16 +435,20 @@ def _fd_guesses(fd_seeds, js) -> dict:
 
 
 def _bracketed_root(f, lo, hi, guess, xtol):
-    """Root of the increasing f in [lo, hi], searched near guess=(g, w) first."""
+    """Root of the increasing f in [lo, hi], searched near guess=(g, w) first.
+
+    None when f shows no sign change even over the whole of [lo, hi].
+    """
     a, b = lo, hi
     if guess is not None:
         g = min(max(guess[0], lo), hi)
         w = max(guess[1], _MIN_WIDTH * max(1.0, abs(g)))
-        while True:
-            a, b = max(lo, g - w), min(hi, g + w)
-            if (a == lo and b == hi) or f(a) <= 0.0 <= f(b):
-                break
-            w *= _WIDEN
+        a, b = max(lo, g - w), min(hi, g + w)
+    while not f(a) <= 0.0 <= f(b):
+        if a == lo and b == hi:
+            return None
+        w *= _WIDEN
+        a, b = max(lo, g - w), min(hi, g + w)
     return brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
 
 
@@ -421,20 +456,24 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                    fd_seeds: SpectrumResult | None = None) -> SpectrumResult:
     """Windowed spectrum by Pruefer phase root finding, mesh-doubled.
 
-    The right-end phase is strictly increasing in lambda, so the j-th
-    eigenvalue is the unique root of theta(m1; lam) = theta_target + j pi;
-    the phases at the window ends decide exactly which j fall inside, which
-    is what makes the method miss-proof.
+    The right-end phase theta(m1; lam) is strictly increasing in lambda, and
+    eigenvalue j is where it reaches theta_target + j pi, so the phases at
+    the window ends decide exactly which j fall inside; this is what makes
+    the method miss-proof.  The same phase picks the mesh.  Each root is then
+    located on the matched phase D(lam) of that mesh (see _phase_engine),
+    which is also increasing and equals (j + 1) pi exactly at eigenvalue j.
+    Where q is stiff, theta(m1; lam) jumps by pi in an exponentially narrow
+    interval of lambda and a root finder on it can only bisect; D is smooth.
 
     Each root is searched in a small bracket first: on the accepted mesh n
     around the matching FD eigenvalue of fd_seeds (used only when its count
     equals the phase count, sized from its error bar), on mesh 2n around the
-    mesh-n root.  A bracket is used only when phase evaluations at its ends
-    show the sign change, otherwise it is widened up to the whole window, so
-    the seeds can change the cost of a solve but not its result.
+    mesh-n root.  A bracket is used only when D at its ends shows the sign
+    change, otherwise it is widened up to the whole window, so the seeds can
+    change the cost of a solve but not its result.
     """
     lo, hi = _check_window(window)
-    theta_at = _phase_engine(problem)
+    theta_at, matched = _phase_engine(problem)
     target = _theta_target(problem)
     n = _converged_mesh(theta_at, (lo, hi), tol=phase_tol)
     xtol = 1e-13 * max(1.0, abs(hi))
@@ -461,8 +500,13 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                 # there is nothing for the root finder to bracket.
                 lam = hi
             else:
-                lam = _bracketed_root(lambda x: theta_at(x, mesh) - tau, lo, hi,
+                turns = (j + 1) * math.pi
+                lam = _bracketed_root(lambda x: matched(x, mesh) - turns, lo, hi,
                                       guesses.get(j), xtol)
+                if lam is None:
+                    raise RuntimeError(
+                        f"matched phase shows no sign change for eigenvalue "
+                        f"{j} on mesh {mesh} over the window {(lo, hi)}")
             roots.setdefault(j, {})[mesh] = lam
     if index_sets[0] != index_sets[1]:
         raise RuntimeError(
@@ -488,7 +532,7 @@ def count_below(problem: SLProblem, lambda_star: float) -> int:
     lam = float(lambda_star)
     if not math.isfinite(lam):
         raise ValueError("lambda_star must be finite")
-    theta_at = _phase_engine(problem)
+    theta_at, _ = _phase_engine(problem)
     target = _theta_target(problem)
     n = _converged_mesh(theta_at, (lam,))
 

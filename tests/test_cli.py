@@ -246,6 +246,17 @@ def test_tube_sweep_floor_violation_is_verification_failure(
     assert "quadratic-form floor" in err and "Traceback" not in err
 
 
+def test_sl_solve_input_error_leaves_no_out_directory(tmp_path, capsys):
+    # solve_fd refuses grid_n below 16; the output directory is made only
+    # once there is something to write into it
+    cfg = _write_config(tmp_path, SL_CONFIG)
+    out = tmp_path / "fresh"
+    assert main(["sl-solve", "--config", cfg, "--override", "grid_n=8",
+                 "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_override_shape_is_input_error(tmp_path, capsys):
     sl_cfg = _write_config(tmp_path, SL_CONFIG)
     bound_cfg = _write_config(tmp_path, BOUND_CONFIG, "bound.json")

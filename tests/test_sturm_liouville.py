@@ -232,38 +232,47 @@ def test_problem_json_round_trip():
         problem_from_json({**doc, "extra": True})
 
 
-def _count_phase_evaluations(monkeypatch):
+def _count_phase_evaluations(monkeypatch, phases=("theta", "matched")):
+    """Mesh size n of every new (lam, n) that the named phases advance."""
     import tubespec.sturm_liouville as sl
     calls = []
     real = sl._phase_engine
 
     def counting(problem):
-        theta_at = real(problem)
-        seen = set()
+        def counted(name, phase):
+            seen = set()
 
-        def counted(lam, n):
-            # the engine memoizes, so only a new (lam, n) advances n cells
-            if (lam, n) not in seen:
-                seen.add((lam, n))
-                calls.append(n)
-            return theta_at(lam, n)
-        return counted
+            def call(lam, n):
+                # the engine memoizes, so only a new (lam, n) advances n cells
+                if name in phases and (lam, n) not in seen:
+                    seen.add((lam, n))
+                    calls.append(n)
+                return phase(lam, n)
+            return call
+        theta, matched = real(problem)
+        return counted("theta", theta), counted("matched", matched)
 
     monkeypatch.setattr(sl, "_phase_engine", counting)
     return calls
+
+
+def _tube_mode_problem(R):
+    """Mode (1, 0), family Abs1, of the schedule's tube at R: a stiff problem
+    whose potential reaches ~7e4 (R = 6) to ~2e8 (R = 10) at the right end."""
+    from tubespec.geometry import DegenerationSchedule, schedule_instantiate
+    from tubespec.torus_modes import ModeIndex
+    from tubespec.tube_spectrum import assemble_mode_problem, find_r0
+    geom = schedule_instantiate(DegenerationSchedule(R_grid=(R,)), 0)
+    geom = geom.with_r0(find_r0(geom)[0])
+    return assemble_mode_problem(ModeIndex(1, 0), geom, "Abs1")
 
 
 def _seed_test_problems():
     smooth = SLProblem(q=lambda u: 1.5 + np.sin(2.0 * u) - 0.4 * np.cos(u),
                        m0=0.0, m1=3.0, bc_left=BoundaryCondition.robin(-0.8),
                        bc_right=DIR)
-    from tubespec.geometry import DegenerationSchedule, schedule_instantiate
-    from tubespec.torus_modes import ModeIndex
-    from tubespec.tube_spectrum import assemble_mode_problem, find_r0
-    geom = schedule_instantiate(DegenerationSchedule(R_grid=(10.0,)), 0)
-    geom = geom.with_r0(find_r0(geom)[0])
-    # stiff: theta(m1; lam) is a staircase, so brentq mostly bisects
-    tube = assemble_mode_problem(ModeIndex(1, 0), geom, "Abs1")
+    # stiff: theta(m1; lam) is a staircase in lam
+    tube = _tube_mode_problem(10.0)
     return [(smooth, (spectral_floor(smooth) - 1.0, 20.0), 256, 1e-7),
             (tube, (0.0, 10.0), 2048, 1e-7)]
 
@@ -298,6 +307,80 @@ def test_fd_seeds_cut_phase_work_but_cannot_steer_roots(case, monkeypatch):
         assert len(res.eigenvalues) == len(plain.eigenvalues)
         for got, want in zip(res.eigenvalues, plain.eigenvalues):
             assert abs(got - want) <= tol_ev
+
+
+def _matched_test_problems():
+    """(problem, window, grid_n, phase_tol): smooth Robin/Dirichlet, the stiff
+    R = 6 tube mode, and repulsive Robin ends around an interior well."""
+    smooth = _seed_test_problems()[0]
+    repulsive = SLProblem(q=lambda u: 4.0 * (u - 1.1)**2 + np.sin(3.0 * u),
+                          m0=0.0, m1=3.0, bc_left=BoundaryCondition.robin(0.9),
+                          bc_right=BoundaryCondition.robin(-1.3))
+    return [smooth, (_tube_mode_problem(6.0), (0.0, 10.0), 2048, 1e-7),
+            (repulsive, (spectral_floor(repulsive) - 1.0, 30.0), 256, 1e-7)]
+
+
+_MATCHED_IDS = ["smooth", "tube", "repulsive"]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=_MATCHED_IDS)
+def test_matched_phase_counts_like_the_right_end_phase(case):
+    import tubespec.sturm_liouville as sl
+    p, (lo, hi), _, tol = _matched_test_problems()[case]
+    theta, matched = sl._phase_engine(p)
+    target = sl._theta_target(p)
+    n = sl._converged_mesh(theta, (lo, hi), tol=tol)
+    for lam in np.linspace(lo, hi, 21).tolist():
+        # eigenvalue j sits at theta = target + j pi and at D = (j + 1) pi
+        one_sided = max(0, math.ceil(sl._phase_units(theta(lam, n), target)))
+        from_d = max(0, math.ceil(sl._phase_units(matched(lam, n), 0.0)) - 1)
+        assert from_d == one_sided, lam
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=_MATCHED_IDS)
+def test_matched_roots_agree_with_right_end_roots(case):
+    from scipy.optimize import brentq
+    import tubespec.sturm_liouville as sl
+    p, (lo, hi), _, tol = _matched_test_problems()[case]
+    theta, matched = sl._phase_engine(p)
+    target = sl._theta_target(p)
+    n = sl._converged_mesh(theta, (lo, hi), tol=tol)
+    xtol = 1e-13 * max(1.0, abs(hi))
+    for mesh in (n, 2 * n):
+        js = sl._window_indices(theta(lo, mesh), theta(hi, mesh), target)
+        assert js
+        for j in js:
+            ref = brentq(lambda x: theta(x, mesh) - (target + j * math.pi),
+                         lo, hi, xtol=xtol, rtol=8.9e-16)
+            got = sl._bracketed_root(lambda x: matched(x, mesh) - (j + 1) * math.pi,
+                                     lo, hi, None, xtol)
+            assert abs(got - ref) <= 2.0 * xtol, (mesh, j)
+
+
+def test_stiff_roots_cost_a_few_matched_phase_evaluations(monkeypatch):
+    p, window, grid_n, tol = _matched_test_problems()[1]
+    fd = solve_fd(p, grid_n, window)
+    calls = _count_phase_evaluations(monkeypatch, phases=("matched",))
+    for seeds in (fd, None):
+        calls.clear()
+        res = solve_shooting(p, window, phase_tol=tol, fd_seeds=seeds)
+        # the right-end phase of this mode is a staircase on which brentq
+        # bisects: 27-40 evaluations per root and mesh
+        assert len(res.eigenvalues) >= 1
+        assert len(calls) <= 10 * 2 * len(res.eigenvalues)
+
+
+def test_no_sign_change_of_the_matched_phase_is_a_runtime_error(monkeypatch):
+    import tubespec.sturm_liouville as sl
+    real = sl._phase_engine
+
+    def shifted(problem):
+        theta, matched = real(problem)
+        return theta, lambda lam, n: matched(lam, n) + 2.0 * math.pi
+
+    monkeypatch.setattr(sl, "_phase_engine", shifted)
+    with pytest.raises(RuntimeError, match="no sign change for eigenvalue 0"):
+        solve_shooting(_dirichlet_q0(), (0.0, 30.0))
 
 
 def test_fd_assembly_rejects_non_finite_potential():
@@ -377,7 +460,7 @@ def test_phase_engine_matches_scalar_loop(lam):
     theta = sl._theta_start(p)
     for qc in p.q_values(p.m0 + h * (np.arange(n) + 0.5)).tolist():
         theta = _reference_advance_phase(theta, lam - qc, h)
-    got = sl._phase_engine(p)(lam, n)
+    got = sl._phase_engine(p)[0](lam, n)
     # the engine's numpy expm1 may differ from math.expm1 in the last bit
     assert abs(got - theta) <= 1e-12 * max(1.0, abs(theta))
 
@@ -396,7 +479,7 @@ def test_phase_engine_advances_each_phase_once(monkeypatch):
     monkeypatch.setattr(math, "atan2", counting)
     p = SLProblem(q=lambda u: 1.0 + u, m0=0.0, m1=2.0,
                   bc_left=BoundaryCondition.robin(0.5), bc_right=DIR)
-    theta_at = sl._phase_engine(p)
+    theta_at, _ = sl._phase_engine(p)
     calls.clear()
     first = theta_at(3.5, 512)
     assert len(calls) == 2 * 512
