@@ -1,10 +1,14 @@
 """Experiment runner: every scenario as a subcommand with JSON/CSV outputs.
 
 Subcommands: sl-solve, tube-sweep, bound, s1-dissect, compare-ode,
-berger-curve.  Each reads an optional JSON config (--config), applies flat
---override key=value pairs on top, and writes its report into --out.
-Outputs are canonicalized (sorted keys, 17 significant digits, '.' decimal)
-so identical inputs produce byte-identical files.
+berger-curve.  Each reads an optional JSON config (--config) with flat
+--override key=value pairs applied on top, and returns its report as a
+JSON document plus CSV rows; it never touches the filesystem.  main writes
+both reports, <command>.json and <command>.csv with '-' turned into '_',
+into --out, and creates --out only after the subcommand has returned, so a
+run that fails on its input leaves nothing behind.  --seed belongs to
+compare-ode alone.  Outputs are canonicalized (sorted keys, 17 significant
+digits, '.' decimal) so identical inputs produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure (a checked inequality or
 cross-validation did not hold), 2 input error (missing file, malformed
@@ -57,13 +61,7 @@ def _load_config(args) -> dict:
     return config
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_sl_solve(args, config: dict) -> int:
+def cmd_sl_solve(args, config: dict):
     check_fields(config, "config", {"problem", "window", "method", "grid_n"},
                  ("problem", "window"))
     problem = problem_from_json(config["problem"])
@@ -88,18 +86,15 @@ def cmd_sl_solve(args, config: dict) -> int:
         results["cross_validated"] = primary.to_json()
     else:
         raise ValueError(f"method must be fd, shooting, or cross, got {method!r}")
-    out = _outdir(args)
-
-    write_json(out / "sl_solve.json", {
+    doc = {
         "problem": problem_to_json(problem),
         "window": list(window),
         "method": method,
         "results": results,
-    })
-    write_csv(out / "sl_solve.csv", ("index", "eigenvalue", "error"),
-              [(i, ev, er) for i, (ev, er) in
-               enumerate(zip(primary.eigenvalues, primary.error_estimate))])
-    return EXIT_OK
+    }
+    rows = [(i, ev, er) for i, (ev, er) in
+            enumerate(zip(primary.eigenvalues, primary.error_estimate))]
+    return doc, ("index", "eigenvalue", "error"), rows, EXIT_OK
 
 
 def _tube_row_pass(row):
@@ -118,18 +113,13 @@ def _fields_of(cls, config: dict) -> dict:
     return {key: value for key, value in config.items() if key in names}
 
 
-def cmd_tube_sweep(args, config: dict) -> int:
+def cmd_tube_sweep(args, config: dict):
     schedule_doc = _fields_of(DegenerationSchedule, config)
     options_doc = _fields_of(SweepOptions, config)
     check_fields(config, "config", {*schedule_doc, *options_doc})
     schedule = schedule_from_json(schedule_doc)
     options = SweepOptions(**options_doc)
     rows = sweep(schedule, options)
-    out = _outdir(args)
-
-    write_csv(out / "tube_sweep.csv",
-              ("R", "r0", "mode_r", "mode_s", "family", "eigenvalue", "error"),
-              sweep_csv_rows(rows))
     summary_rows = []
     for row in rows:
         summary_rows.append({
@@ -143,18 +133,20 @@ def cmd_tube_sweep(args, config: dict) -> int:
         })
     computed = [r["pass"] for r in summary_rows if r["pass"] is not None]
     all_pass = all(computed) if computed else True
-    write_json(out / "tube_sweep.json", {
+    doc = {
         "schedule": schedule_to_json(schedule),
         "options": dataclasses.asdict(options),
         "threshold_lambda": TUBE_THRESHOLD_LAMBDA,
         "threshold_tolerance": TUBE_THRESHOLD_TOL,
         "rows": summary_rows,
         "all_computed_pass": all_pass,
-    })
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    }
+    header = ("R", "r0", "mode_r", "mode_s", "family", "eigenvalue", "error")
+    return (doc, header, sweep_csv_rows(rows),
+            EXIT_OK if all_pass else EXIT_VERIFY)
 
 
-def cmd_bound(args, config: dict) -> int:
+def cmd_bound(args, config: dict):
     # C_rho may be given directly or as a sampled partition of unity
     # {"step": h, "rho": [[..], ..], "periodic": bool}
     c_rho = config.get("C_rho")
@@ -168,7 +160,6 @@ def cmd_bound(args, config: dict) -> int:
     ordered = bool(args.ordered)
     want_dirac = args.dirac or not args.laplacian
     want_laplacian = args.laplacian or not args.dirac
-    out = _outdir(args)
 
     doc = {"cover": cover_to_json(cover), "ordered": ordered}
     csv_rows = []
@@ -180,38 +171,32 @@ def cmd_bound(args, config: dict) -> int:
         res = dirac_bound(cover, ordered=ordered)
         doc["dirac"] = res.to_json()
         csv_rows += [("dirac", i, t) for i, t in enumerate(res.per_set_terms)]
-    write_json(out / "bound.json", doc)
-    write_csv(out / "bound.csv", ("bound", "set_index", "term"), csv_rows)
-    return EXIT_OK
+    return doc, ("bound", "set_index", "term"), csv_rows, EXIT_OK
 
 
-def cmd_s1_dissect(args, config: dict) -> int:
+def cmd_s1_dissect(args, config: dict):
     check_fields(config, "config", {"n", "overlap_fraction"})
     report = s1_case_study(int(config.get("n", 64)),
                            float(config.get("overlap_fraction", 0.125)))
-    out = _outdir(args)
-    write_json(out / "s1_dissect.json", report)
-    write_csv(out / "s1_dissect.csv", ("set_index", "term"),
-              list(enumerate(report["per_set_terms"])))
-    return EXIT_OK if report["valid"] else EXIT_VERIFY
+    return (report, ("set_index", "term"),
+            list(enumerate(report["per_set_terms"])),
+            EXIT_OK if report["valid"] else EXIT_VERIFY)
 
 
-def cmd_compare_ode(args, config: dict) -> int:
+def cmd_compare_ode(args, config: dict):
     config.setdefault("suite", "A.1")
     config.setdefault("seed", args.seed)
     report = run_suite(config)
-    out = _outdir(args)
-    write_json(out / "compare_ode.json", report)
     checks = (("riccati_margin", "slope", "slope_threshold")
               if report["suite"] == "A.1"
               else ("delta", "min_relative_margin", "no_zero"))
     header = ("index", "k", "alpha") + checks + ("passed",)
-    write_csv(out / "compare_ode.csv", header,
-              [[c[key] for key in header] for c in report["cases"]])
-    return EXIT_OK if report["all_passed"] else EXIT_VERIFY
+    return (report, header,
+            [[c[key] for key in header] for c in report["cases"]],
+            EXIT_OK if report["all_passed"] else EXIT_VERIFY)
 
 
-def cmd_berger_curve(args, config: dict) -> int:
+def cmd_berger_curve(args, config: dict):
     check_fields(config, "config", {"a", "b", "m", "epsilon_bound", "t_max",
                                     "t_step", "thresholds"})
     t_step = float(config.get("t_step", 1.0))
@@ -231,28 +216,41 @@ def cmd_berger_curve(args, config: dict) -> int:
         t_grid=t_grid,
         thresholds=tuple(config.get("thresholds", (10.0,))),
     )
-    out = _outdir(args)
-    write_json(out / "berger_curve.json", curve.to_json())
-    write_csv(out / "berger_curve.csv", ("t", "curve"),
-              list(zip(curve.t_values, curve.curve)))
-    return EXIT_OK
+    return (curve.to_json(), ("t", "curve"),
+            list(zip(curve.t_values, curve.curve)), EXIT_OK)
 
 
+# name -> (handler, help, the options of that subcommand alone).  A handler
+# (args, config) returns (JSON document, CSV header, CSV rows, exit code);
+# main writes them to <--out>/<name with '-' as '_'>.json and .csv
 _COMMANDS = {
-    "sl-solve": cmd_sl_solve,
-    "tube-sweep": cmd_tube_sweep,
-    "bound": cmd_bound,
-    "s1-dissect": cmd_s1_dissect,
-    "compare-ode": cmd_compare_ode,
-    "berger-curve": cmd_berger_curve,
+    "sl-solve": (cmd_sl_solve,
+                 "solve one eigenvalue window from a problem JSON", {}),
+    "tube-sweep": (cmd_tube_sweep,
+                   "sweep tube spectra over an R grid; summary vs threshold 1",
+                   {}),
+    "bound": (cmd_bound, "dissection lower bound from a cover JSON", {
+        "--dirac": {"action": "store_true",
+                    "help": "emit only the first-order bound"},
+        "--laplacian": {"action": "store_true",
+                        "help": "emit only the second-order bound"},
+        "--ordered": {"action": "store_true",
+                      "help": "count ordered multi-indices in N"},
+    }),
+    "s1-dissect": (cmd_s1_dissect,
+                   "two-arc circle case study: bound vs full spectrum", {}),
+    "compare-ode": (cmd_compare_ode,
+                    "seeded comparison-ODE suites (A.1 slopes, A.2 growth)",
+                    {"--seed": {"type": int, "default": 7,
+                                "help": "seed of the randomized suite"}}),
+    "berger-curve": (cmd_berger_curve,
+                     "normalized squared-eigenvalue scaling curve", {}),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=7,
-                        help="seed for randomized suites")
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE",
@@ -265,26 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "windows, tube sweeps, dissection bounds, discrete Hodge "
                     "case study, ODE comparison suites, Berger scaling curve")
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("sl-solve", parents=[common],
-                   help="solve one eigenvalue window from a problem JSON")
-    sub.add_parser("tube-sweep", parents=[common],
-                   help="sweep tube spectra over an R grid; summary vs "
-                        "threshold 1")
-    bound = sub.add_parser("bound", parents=[common],
-                           help="dissection lower bound from a cover JSON")
-    bound.add_argument("--dirac", action="store_true",
-                       help="emit only the first-order bound")
-    bound.add_argument("--laplacian", action="store_true",
-                       help="emit only the second-order bound")
-    bound.add_argument("--ordered", action="store_true",
-                       help="count ordered multi-indices in N")
-    sub.add_parser("s1-dissect", parents=[common],
-                   help="two-arc circle case study: bound vs full spectrum")
-    sub.add_parser("compare-ode", parents=[common],
-                   help="seeded comparison-ODE suites (A.1 slopes, A.2 "
-                        "growth)")
-    sub.add_parser("berger-curve", parents=[common],
-                   help="normalized squared-eigenvalue scaling curve")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in options.items():
+            command.add_argument(flag, **kwargs)
     return parser
 
 
@@ -294,13 +276,19 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_INPUT
+    handler = _COMMANDS[args.command][0]
+    stem = args.command.replace("-", "_")
     try:
-        config = _load_config(args)
-        return _COMMANDS[args.command](args, config)
+        doc, header, rows, code = handler(args, _load_config(args))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / f"{stem}.json", doc)
+        write_csv(out / f"{stem}.csv", header, rows)
+        return code
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, KeyError, TypeError, OSError,
+    except (ValueError, KeyError, TypeError, OverflowError, OSError,
             json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -264,19 +264,22 @@ def berger_scaling(a: float, b: float, m: int, epsilon_bound: float,
     it (None when the grid never gets there).
     """
     a, b, eps = float(a), float(b), float(epsilon_bound)
-    if not (a > 0 and b > 0 and eps > 0):
-        raise ValueError("a, b, epsilon_bound must all be positive")
+    if not all(0 < v < math.inf for v in (a, b, eps)):
+        raise ValueError("a, b, epsilon_bound must all be positive and finite")
     m = int(m)
     if m < 2:
         raise ValueError("dimension m must be at least 2")
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         raise ValueError("t_grid must be non-empty")
-    if any(t < 0 for t in ts):
-        raise ValueError("t values must be >= 0")
+    if not all(0 <= t < math.inf for t in ts):
+        raise ValueError("t values must be finite and >= 0")
     if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
         raise ValueError("t_grid must be strictly increasing")
     curve = tuple(eps * (a + b * t) ** (2.0 / m) for t in ts)
+    if not all(math.isfinite(c) for c in curve):
+        raise ValueError(f"curve overflows the float range on t <= {ts[-1]:.6g}; "
+                         "lower t_max, a, b or epsilon_bound")
     t_star = {}
     for lam in thresholds:
         lam = float(lam)

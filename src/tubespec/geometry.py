@@ -127,6 +127,8 @@ class DegenerationSchedule:
     R_grid: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.D1, self.D2, self.E1, self.E2)):
+            raise ValueError("D1, D2, E1 and E2 must be finite")
         if not (0 < self.D1 <= self.D2):
             raise ValueError(f"need 0 < D1 <= D2, got D1={self.D1}, D2={self.D2}")
         if not (0 < self.E1 <= self.E2):

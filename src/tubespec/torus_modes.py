@@ -95,8 +95,8 @@ def _outside_lattice_floor(geometry: TubeGeometry, M_max: int) -> float:
     r0 = geometry.require_r0()
     eps, rho = geometry.epsilon, geometry.rho
     x0 = geometry.R - r0
-    f0 = math.cosh(x0)
-    h0 = math.sinh(x0)
+    f0 = float(np.cosh(x0))
+    h0 = float(np.sinh(x0))
 
     w_min = 2.0 * math.pi * (M_max + 1) - M_max * rho
     tail_s = (w_min / (eps * f0)) ** 2
@@ -115,12 +115,8 @@ def _outside_lattice_floor(geometry: TubeGeometry, M_max: int) -> float:
     if r_strip > M_max:
         rr = np.arange(M_max + 1, r_strip + 1, dtype=float)
         s_near = np.rint(-rr * rho / (2.0 * math.pi))
-        best = math.inf
-        for ds in (-1.0, 0.0, 1.0):
-            w = 2.0 * math.pi * (s_near + ds) + rr * rho
-            k = (w / (eps * f0)) ** 2 + (rr / h0) ** 2
-            best = min(best, float(k.min()))
-        strip_min = best
+        strip_min = min(float(kappa_value(rr, s_near + ds, r0, geometry).min())
+                        for ds in (-1.0, 0.0, 1.0))
     tail_far = ((max(M_max, r_strip) + 1) / h0) ** 2
     tail_ws = (3.0 * math.pi / (eps * f0)) ** 2
     return min(tail_s, strip_min, tail_far, tail_ws)
@@ -138,17 +134,9 @@ def min_offzero_kappa(geometry: TubeGeometry, M_max: int):
     """
     if M_max < 1:
         raise ValueError("increase M_max: lattice holds no off-zero mode")
-    # numpy's cosh/sinh, not math's: they differ in the last bit for some
-    # x0, which would move the reported minimum
-    x0 = np.array([geometry.R - geometry.require_r0()])
-    inv_f2 = 1.0 / np.cosh(x0) ** 2
-    inv_h2 = 1.0 / np.sinh(x0) ** 2
-
     modes = [m for m in enumerate_modes(M_max) if not m.is_zero]
-    r = np.array([m.r for m in modes], dtype=float)
-    s = np.array([m.s for m in modes], dtype=float)
-    w = 2.0 * math.pi * s + r * geometry.rho
-    per_mode = w**2 / geometry.epsilon**2 * inv_f2 + r**2 * inv_h2
+    per_mode = kappa_value([m.r for m in modes], [m.s for m in modes],
+                           geometry.require_r0(), geometry)
     imin = int(np.argmin(per_mode))
     achieved = float(per_mode[imin])
 

@@ -278,10 +278,81 @@ def test_bad_override_shape_is_input_error(tmp_path, capsys):
         ["compare-ode", "--override", "count=1e9"],
         ["s1-dissect", "--override", "n=100000000"],
         ["sl-solve", "--config", sl_cfg, "--override", "grid_n=100000000"],
+        # 1/mu overflows, so the bound comes out 0 and is refused after the
+        # cover was read
+        ["bound", "--override", "mu_set=[1e-320]", "--override", "adjacency=[[]]",
+         "--override", "C_rho=1"],
+        # an infinite integer is an OverflowError, not a traceback
+        ["sl-solve", "--config", sl_cfg, "--override", "grid_n=Infinity"],
+        ["s1-dissect", "--override", "n=-Infinity"],
+        ["compare-ode", "--override", "count=Infinity"],
+        ["compare-ode", "--override", "seed=Infinity"],
+        ["berger-curve", "--override", "m=Infinity"],
+        ["bound", "--config", bound_cfg, "--override", 'h_pair={"0-1": Infinity}'],
+        # non-finite inputs, and a curve that overflows from finite ones, are
+        # refused before anything is serialized
+        ["tube-sweep", "--override", "D2=Infinity", "--override", "R_grid=[6]"],
+        ["tube-sweep", "--override", "E2=Infinity"],
+        ["berger-curve", "--override", "a=Infinity"],
+        ["berger-curve", "--override", "b=Infinity"],
+        ["berger-curve", "--override", "epsilon_bound=Infinity"],
+        ["berger-curve", "--override", "t_step=1e300", "--override", "t_max=1e301",
+         "--override", "b=1e10"],
     ]
     out = tmp_path / "out"
     for argv in bad:
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err, argv
-        assert not out.exists() or not any(out.iterdir()), argv
+        assert not out.exists(), argv
+
+
+def test_seed_is_an_option_of_compare_ode_alone(tmp_path):
+    # compare-ode takes it (test_compare_ode_seed_flag_reaches_suite); every
+    # other subcommand refuses it as a usage error
+    for command in sorted(set(cli._COMMANDS) - {"compare-ode"}):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2, command
+    assert not (tmp_path / "out").exists()
+
+
+# small, fast configs; the junk sweep below spoils one top-level key at a time
+JUNK_BASE = {
+    "sl-solve": {**SL_CONFIG, "method": "cross", "grid_n": 64},
+    "tube-sweep": {"R_grid": [6], "lambda_max": 2,
+                   "D1": 1.0, "D2": 1.0, "E1": 1.0, "E2": 1.0},
+    "bound": BOUND_CONFIG,
+    "s1-dissect": {"n": 32, "overlap_fraction": 0.125},
+    "compare-ode": {"suite": "A.1", "count": 1, "seed": 7},
+    "berger-curve": {"a": 1.0, "b": 1.0, "m": 2, "epsilon_bound": 0.1,
+                     "t_max": 20.0, "t_step": 1.0, "thresholds": [10.0]},
+}
+JUNK_VALUES = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0]
+_DELETE = object()
+
+
+@pytest.mark.parametrize("command", sorted(JUNK_BASE))
+def test_junk_config_exits_cleanly(command, tmp_path):
+    base = JUNK_BASE[command]
+    variants = [{**base, "mystery": 1}]
+    for key in base:
+        for value in JUNK_VALUES + [_DELETE]:
+            doc = dict(base)
+            if value is _DELETE:
+                del doc[key]
+            else:
+                doc[key] = value
+            variants.append(doc)
+    for i, doc in enumerate(variants):
+        # json.dumps writes NaN and Infinity, which the config reader accepts
+        cfg = _write_config(tmp_path, doc, f"config{i}.json")
+        out = tmp_path / f"out{i}"
+        code = main([command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1, 2), (doc, code)
+        if code == 2:
+            assert not out.exists(), doc
+        if code == 0:
+            stem = command.replace("-", "_")
+            assert {p.name for p in out.iterdir()} == {f"{stem}.json",
+                                                       f"{stem}.csv"}, doc

@@ -152,9 +152,8 @@ def test_kappa_nondecreasing_on_the_interval(geom):
     for M in (1, 2, 4):
         achieved, _ = min_offzero_kappa(geom, M)
         inside = [(abs(m.r) <= M and abs(m.s) <= M and not m.is_zero) for m in modes]
-        # kappa_value and min_offzero_kappa's separable form round apart by
-        # up to a few ulp
-        assert achieved <= k[np.asarray(inside)].min() * (1.0 + 4.0 * np.finfo(float).eps)
+        # both evaluate kappa_value, and u[0] is r0
+        assert achieved == k[np.asarray(inside)].min()
 
 
 def test_min_offzero_returns_value_and_certificate():
