@@ -27,7 +27,7 @@ from .dissection import berger_scaling, c_rho_from_partition, \
     cover_from_json, cover_to_json, dirac_bound, laplacian_bound
 from .discrete_hodge import s1_case_study
 from .geometry import DegenerationSchedule, schedule_from_json, schedule_to_json
-from .jsonio import check_fields, write_csv, write_json
+from .jsonio import check_fields, check_int, write_csv, write_json
 from .ode_compare import run_suite
 from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
     solve_fd, solve_shooting
@@ -67,7 +67,7 @@ def cmd_sl_solve(args, config: dict):
     problem = problem_from_json(config["problem"])
     window = tuple(config["window"])
     method = config.get("method", "cross")
-    grid_n = int(config.get("grid_n", 256))
+    grid_n = check_int(config.get("grid_n", 256), "grid_n")
 
     results = {}
     if method == "fd":
@@ -176,7 +176,7 @@ def cmd_bound(args, config: dict):
 
 def cmd_s1_dissect(args, config: dict):
     check_fields(config, "config", {"n", "overlap_fraction"})
-    report = s1_case_study(int(config.get("n", 64)),
+    report = s1_case_study(check_int(config.get("n", 64), "n"),
                            float(config.get("overlap_fraction", 0.125)))
     return (report, ("set_index", "term"),
             list(enumerate(report["per_set_terms"])),
@@ -211,7 +211,7 @@ def cmd_berger_curve(args, config: dict):
     curve = berger_scaling(
         a=float(config.get("a", 1.0)),
         b=float(config.get("b", 1.0)),
-        m=int(config.get("m", 2)),
+        m=config.get("m", 2),
         epsilon_bound=float(config.get("epsilon_bound", 0.1)),
         t_grid=t_grid,
         thresholds=tuple(config.get("thresholds", (10.0,))),

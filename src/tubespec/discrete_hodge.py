@@ -4,7 +4,8 @@ The model is the rolled-up De Rham complex in one dimension: the graded
 space V = V_plus (+) V_minus holds node functions and edge 1-forms, the
 derivative d is the forward difference divided by the step (placed in the
 plus -> minus block), delta is its transpose, T is +1/-1 on the grades,
-Q = d + delta and P = Q^2.  Everything the decomposition theory asserts
+Q = d + delta and P = Q^2.  A complex stores that block, D, alone, and
+P = blockdiag(D^T D, D D^T).  Everything the decomposition theory asserts
 (d^2 = 0, Green identity with no boundary term, T anticommutation,
 P = d delta + delta d, harmonic/exact/coexact splitting, eigenspace pairing)
 is checkable here by dense linear algebra against closed-form spectra.
@@ -49,24 +50,32 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 # rank / orthogonality cutoff for dense bases
 RANK_TOL = 1e-10
-# s1_case_study diagonalizes dense complexes whose memory grows as n^2: the
-# peak is 373 MB at n = 1024, so about 1.5 GB at this limit by that scaling
+# s1_case_study diagonalizes dense n x n Gram blocks: O(n^2) memory, O(n^3) time
 MAX_CASE_STUDY_N = 2048
 
 
 @dataclass(frozen=True)
 class DiracComplexMatrix:
-    """A complex stored as d and P; delta, T and Q are built when accessed."""
+    """A complex stored as D alone; d, delta, T, Q and P are built when accessed."""
     name: str
-    dim_plus: int
-    dim_minus: int
     step: float
-    d: np.ndarray
-    P: np.ndarray
+    D: np.ndarray
+
+    @property
+    def dim_plus(self) -> int:
+        return self.D.shape[1]
+
+    @property
+    def dim_minus(self) -> int:
+        return self.D.shape[0]
 
     @property
     def dim(self) -> int:
         return self.dim_plus + self.dim_minus
+
+    @property
+    def d(self) -> np.ndarray:
+        return np.pad(self.D, ((self.dim_plus, 0), (0, self.dim_minus)))
 
     @property
     def delta(self) -> np.ndarray:
@@ -78,18 +87,11 @@ class DiracComplexMatrix:
 
     @property
     def Q(self) -> np.ndarray:
-        return self.d + self.d.T
+        return self.d + self.delta
 
-
-def _assemble(name: str, d_block: np.ndarray, step: float) -> DiracComplexMatrix:
-    """Wrap the plus->minus difference block into the graded endomorphisms."""
-    dm, dp = d_block.shape
-    dim = dp + dm
-    d = np.zeros((dim, dim))
-    d[dp:, :dp] = d_block
-    Q = d + d.T
-    return DiracComplexMatrix(name=name, dim_plus=dp, dim_minus=dm,
-                              step=float(step), d=d, P=Q @ Q)
+    @property
+    def P(self) -> np.ndarray:
+        return self.Q @ self.Q
 
 
 def build_circle_complex(n: int, length: float = 2.0 * math.pi) -> DiracComplexMatrix:
@@ -102,8 +104,8 @@ def build_circle_complex(n: int, length: float = 2.0 * math.pi) -> DiracComplexM
     if not length > 0:
         raise ValueError("length must be positive")
     step = length / n
-    d_block = (np.roll(np.eye(n), -1, axis=1) - np.eye(n)) / step
-    return _assemble(f"circle(n={n})", d_block, step)
+    D = (np.roll(np.eye(n), -1, axis=1) - np.eye(n)) / step
+    return DiracComplexMatrix(f"circle(n={n})", step, D)
 
 
 def build_interval_complex(n: int, length: float,
@@ -123,10 +125,10 @@ def build_interval_complex(n: int, length: float,
         raise ValueError(f"unknown boundary condition {condition!r}")
     step = length / (n - 1)
     full = (np.eye(n, n, 1) - np.eye(n)) / step  # (n, n) forward difference
-    d_block = full[:n - 1, :]                    # n-1 edges x n nodes
+    D = full[:n - 1, :]                          # n-1 edges x n nodes
     if condition == "Relative":
-        d_block = d_block[:, 1:n - 1]            # drop endpoint nodes
-    return _assemble(f"interval(n={n},{condition})", d_block, step)
+        D = D[:, 1:n - 1]                        # drop endpoint nodes
+    return DiracComplexMatrix(f"interval(n={n},{condition})", step, D)
 
 
 def structure_report(cx: DiracComplexMatrix) -> dict:
@@ -193,26 +195,24 @@ def verify_decomposition(cx: DiracComplexMatrix) -> dict:
     }
 
 
-def _positive_spectrum(cx: DiracComplexMatrix, span: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of P restricted to the column span of span."""
-    basis = _orth_basis(span)
-    if basis.shape[1] == 0:
-        return np.zeros(0)
-    return np.sort(np.linalg.eigvalsh(basis.T @ cx.P @ basis))
+def _positive_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Gram block of P above the zero cutoff."""
+    evals = np.linalg.eigvalsh(gram)
+    return evals[evals > _zero_tol(evals)]
 
 
 def exact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
-    """Sorted positive eigenvalues of P restricted to range(d)."""
-    return _positive_spectrum(cx, cx.d)
+    """Sorted positive eigenvalues of P restricted to range(d): those of D D^T."""
+    return _positive_eigenvalues(cx.D @ cx.D.T)
 
 
 def coexact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
-    return _positive_spectrum(cx, cx.delta)
+    return _positive_eigenvalues(cx.D.T @ cx.D)
 
 
 def harmonic_dimension(cx: DiracComplexMatrix) -> int:
-    evals = np.linalg.eigvalsh(cx.P)
-    return int(np.sum(np.abs(evals) <= _zero_tol(evals)))
+    """dim ker P: the eigenvalues of D^T D and of D D^T at or below the cutoff."""
+    return cx.dim - coexact_positive_spectrum(cx).size - exact_positive_spectrum(cx).size
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
             rho0[k] = 0.0
         else:
             rho0[k] = 1.0
-    grad = circle.d[circle.dim_plus:, :circle.dim_plus] @ rho0
+    grad = circle.D @ rho0
     c_rho = 0.5 * float(np.max(np.abs(grad)) ** 2)
 
     cover = CoverSpec(

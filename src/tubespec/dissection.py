@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import check_fields
+from .jsonio import check_fields, check_int
 
 __all__ = [
     "CoverSpec",
@@ -97,13 +97,15 @@ class CoverSpec:
         if missing:
             raise ValueError(f"adjacent pairs without mu_pair entry: {sorted(missing)}")
 
-        h_pair = {_pair_key(*k): int(v) for k, v in self.h_pair.items()}
+        h_pair = {_pair_key(*k): check_int(v, f"h_pair {k}")
+                  for k, v in self.h_pair.items()}
         for key, v in h_pair.items():
             if key not in pairs:
                 raise ValueError(f"h_pair key {key} is not an adjacent pair")
             if v < 0:
                 raise ValueError("harmonic dimensions must be >= 0")
-        h_triple = {_triple_key(*k): int(v) for k, v in self.h_triple.items()}
+        h_triple = {_triple_key(*k): check_int(v, f"h_triple {k}")
+                    for k, v in self.h_triple.items()}
         for key, v in h_triple.items():
             if v < 0:
                 raise ValueError("harmonic dimensions must be >= 0")
@@ -266,7 +268,7 @@ def berger_scaling(a: float, b: float, m: int, epsilon_bound: float,
     a, b, eps = float(a), float(b), float(epsilon_bound)
     if not all(0 < v < math.inf for v in (a, b, eps)):
         raise ValueError("a, b, epsilon_bound must all be positive and finite")
-    m = int(m)
+    m = check_int(m, "m")
     if m < 2:
         raise ValueError("dimension m must be at least 2")
     ts = tuple(float(t) for t in t_grid)

@@ -5,7 +5,8 @@ canonicalized: object keys sorted, floats printed with 17 significant
 digits (round-trip exact for IEEE doubles), '.' decimal point regardless of
 locale, newline-terminated files.  Non-finite floats are rejected rather
 than serialized, since a NaN in a report is always a bug upstream.
-check_fields validates the keys of every JSON input document.
+check_fields validates the keys of every JSON input document, and
+check_int every integer read from one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["canonical_json", "write_json", "write_csv", "format_float", "check_fields"]
+__all__ = ["canonical_json", "write_json", "write_csv", "format_float", "check_fields",
+           "check_int"]
 
 
 def check_fields(doc, what: str, allowed=None, required=()):
@@ -34,6 +36,20 @@ def check_fields(doc, what: str, allowed=None, required=()):
     if missing:
         raise ValueError(f"{what} missing fields: {missing}")
     return doc
+
+
+def check_int(value, what: str) -> int:
+    """Return value as an int if it is an integer or an integral finite float.
+
+    Raises ValueError naming `what` for a bool, a fractional or non-finite
+    float, or a non-numeric value, instead of truncating it as int() would.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if (isinstance(value, (float, np.floating)) and math.isfinite(value)
+            and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def format_float(x: float) -> str:

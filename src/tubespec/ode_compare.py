@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .jsonio import check_fields
+from .jsonio import check_fields, check_int
 
 __all__ = [
     "ComparisonCase",
@@ -366,9 +366,9 @@ def run_suite(config: dict) -> dict:
     """Dispatch a suite config {"suite": "A.1"|"A.2", "seed": int, "count": int}."""
     check_fields(config, "suite config", {"suite", "seed", "count"})
     suite = config.get("suite")
-    seed = int(config.get("seed", 7))
+    seed = check_int(config.get("seed", 7), "seed")
     if suite == "A.1":
-        return a1_suite_report(seed=seed, count=int(config.get("count", 20)))
+        return a1_suite_report(seed, check_int(config.get("count", 20), "count"))
     if suite == "A.2":
-        return a2_suite_report(seed=seed, count=int(config.get("count", 10)))
+        return a2_suite_report(seed, check_int(config.get("count", 10), "count"))
     raise ValueError(f"unknown suite {suite!r} (expected 'A.1' or 'A.2')")

@@ -295,10 +295,10 @@ def _advance(theta: float, qbar_cells, lam: float, h: float) -> float:
             if ci > 0.0:
                 k = round(theta / pi)
                 delta = theta - k * pi
-                phi = k * pi + atan2(omi * sin(delta), cos(delta)) + omi * h
-                k = round(phi / pi)
-                delta = phi - k * pi
-                theta = k * pi + atan2(sin(delta), omi * cos(delta))
+                psi = atan2(omi * sin(delta), cos(delta)) + omi * h
+                j = round(psi / pi)
+                delta = psi - j * pi
+                theta = (k + j) * pi + atan2(sin(delta), omi * cos(delta))
                 continue
             n_in = floor(theta / pi)
             delta = theta - n_in * pi

@@ -193,9 +193,9 @@ def verify_mode_identities(mode: ModeIndex, geometry: TubeGeometry,
         d_theta g = -i r g
         Delta_0 g = kappa g   with  Delta_0 = -f^-2 d_t^2 - h^-2 d_theta^2
 
-    plus the normalization: the quadrature of |a_i|^2 = |e^{i phase}|^2 over
-    one fundamental domain [0, epsilon] x [0, 2 pi] against the fiber area
-    element f h dt dtheta equals 2 pi epsilon f h(u).
+    plus the normalization: the quadrature of |g_i|^2 over one fundamental
+    domain [0, epsilon] x [0, 2 pi] against the fiber area element
+    f h dt dtheta equals 1.
 
     Returns a report dict; residuals above tol mark the report failed
     rather than raising.
@@ -251,13 +251,11 @@ def verify_mode_identities(mode: ModeIndex, geometry: TubeGeometry,
     h_u = float(prof.h(u_mid))
 
     def integrand(theta, t):
-        a = np.exp(1j * (omega_t * t - mode.r * theta))
-        return float(abs(a) ** 2) * f_u * h_u
+        return float(abs(_g_value(mode, geometry, u_mid, t, theta)) ** 2) * f_u * h_u
 
     quadval, _ = integrate.dblquad(integrand, 0.0, eps, 0.0, 2.0 * math.pi,
                                    epsabs=1e-12, epsrel=1e-12)
-    expected = 2.0 * math.pi * eps * f_u * h_u
-    norm_rel = abs(quadval - expected) / expected
+    norm_rel = abs(quadval - 1.0)
 
     max_res = max(res.values())
     return {

@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import tubespec.cli as cli
 from tubespec.cli import main
+from tubespec.jsonio import check_int
 
 SL_CONFIG = {
     "problem": {
@@ -289,6 +291,15 @@ def test_bad_override_shape_is_input_error(tmp_path, capsys):
         ["compare-ode", "--override", "seed=Infinity"],
         ["berger-curve", "--override", "m=Infinity"],
         ["bound", "--config", bound_cfg, "--override", 'h_pair={"0-1": Infinity}'],
+        # a fractional or boolean integer is refused, not truncated by int()
+        ["sl-solve", "--config", sl_cfg, "--override", "grid_n=64.5"],
+        ["s1-dissect", "--override", "n=64.7"],
+        ["compare-ode", "--override", "count=1.9", "--override", "suite=A.2"],
+        ["compare-ode", "--override", "count=true", "--override", "suite=A.2"],
+        ["compare-ode", "--override", "seed=7.5"],
+        ["berger-curve", "--override", "m=2.5"],
+        ["bound", "--config", bound_cfg, "--override", 'h_pair={"0-1": 1.5}'],
+        ["bound", "--config", bound_cfg, "--override", 'h_pair={"0-1": "2"}'],
         # non-finite inputs, and a curve that overflows from finite ones, are
         # refused before anything is serialized
         ["tube-sweep", "--override", "D2=Infinity", "--override", "R_grid=[6]"],
@@ -305,6 +316,20 @@ def test_bad_override_shape_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err, argv
         assert not out.exists(), argv
+
+
+def test_check_int_accepts_integral_values_only():
+    assert [check_int(v, "k") for v in (3, 3.0, -2.0, np.int64(5), np.float64(6.0))] \
+        == [3, 3, -2, 5, 6]
+    assert type(check_int(np.int64(5), "k")) is int
+    for bad in (True, False, 2.5, math.nan, math.inf, "3", None, [3]):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            check_int(bad, "k")
+
+
+def test_integral_float_input_is_read_as_that_integer(tmp_path):
+    assert main(["s1-dissect", "--override", "n=64.0", "--out", str(tmp_path)]) == 0
+    assert _read_json(tmp_path, "s1_dissect.json")["n"] == 64
 
 
 def test_seed_is_an_option_of_compare_ode_alone(tmp_path):

@@ -1,11 +1,14 @@
 """Matrix Dirac complexes: structure identities, spectra, the circle study."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tubespec.discrete_hodge import (
+    DiracComplexMatrix,
     build_circle_complex,
     build_interval_complex,
     coexact_positive_spectrum,
@@ -212,18 +215,83 @@ def test_s1_degenerate_inputs():
         s1_case_study(64, 0.01)  # e rounds to 0
 
 
-@pytest.mark.parametrize("build", [lambda: build_circle_complex(16),
-                                   lambda: build_interval_complex(9, 1.0, "Absolute"),
-                                   lambda: build_interval_complex(9, 1.0, "Relative")],
-                         ids=["circle", "Absolute", "Relative"])
-def test_complex_stores_only_d_and_P(build):
-    import dataclasses
-    cx = build()
+_BUILDERS = {"circle": build_circle_complex,
+             "Absolute": lambda n: build_interval_complex(n, 1.0, "Absolute"),
+             "Relative": lambda n: build_interval_complex(n, 1.0, "Relative")}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_complex_stores_only_D(kind):
+    cx = _BUILDERS[kind](9)
     arrays = [f.name for f in dataclasses.fields(cx)
               if isinstance(getattr(cx, f.name), np.ndarray)]
-    assert arrays == ["d", "P"]
+    assert arrays == ["D"]
+    assert (cx.dim_minus, cx.dim_plus) == cx.D.shape
+    d = cx.d
+    assert np.array_equal(d[cx.dim_plus:, :cx.dim_plus], cx.D)
+    d[cx.dim_plus:, :cx.dim_plus] = 0.0
+    assert not d.any()
     grading = np.diag([1.0] * cx.dim_plus + [-1.0] * cx.dim_minus)
     assert np.array_equal(cx.delta, cx.d.T)
     assert np.array_equal(cx.T, grading)
     assert np.array_equal(cx.Q, cx.d + cx.d.T)
     assert np.array_equal(cx.P, cx.Q @ cx.Q)
+    blocks = scipy.linalg.block_diag(cx.D.T @ cx.D, cx.D @ cx.D.T)
+    assert np.allclose(cx.P, blocks, rtol=0.0, atol=1e-12 * np.abs(blocks).max())
+
+
+def _projected_spectrum(cx, span):
+    """Reference: P projected onto an orthonormal basis of the columns of span."""
+    u, s, _ = np.linalg.svd(span, full_matrices=False)
+    basis = u[:, s > 1e-10 * max(1.0, s[0])]
+    return np.sort(np.linalg.eigvalsh(basis.T @ cx.P @ basis))
+
+
+def _kernel_dimension(cx):
+    """Reference: the eigenvalues of the full graded P at or below the cutoff."""
+    evals = np.linalg.eigvalsh(cx.P)
+    return int(np.sum(np.abs(evals) <= 1e-9 * max(1.0, abs(evals[-1])) + 1e-12))
+
+
+@pytest.mark.parametrize("n", [8, 33, 100])
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_gram_spectra_match_projection_onto_ranges(kind, n):
+    cx = _BUILDERS[kind](n)
+    for got, span in ((exact_positive_spectrum(cx), cx.d),
+                      (coexact_positive_spectrum(cx), cx.delta)):
+        want = _projected_spectrum(cx, span)
+        assert got.size == want.size
+        assert got == pytest.approx(want, rel=1e-10)
+    assert harmonic_dimension(cx) == _kernel_dimension(cx)
+
+
+def test_s1_case_study_matches_closed_forms():
+    n = 1024
+    rep = s1_case_study(n, 0.125)
+    h = 2.0 * math.pi / n
+
+    def string(nodes):  # lowest free-string eigenvalue on `nodes` nodes
+        return 4.0 * math.sin(math.pi / (2 * nodes)) ** 2 / h**2
+
+    circle = sorted(4.0 * math.sin(math.pi * k / n) ** 2 / h**2 for k in range(1, n))
+    assert rep["mu_arcs"] == pytest.approx(string(rep["arc_nodes"]), rel=1e-10)
+    assert rep["mu_overlap"] == pytest.approx(
+        string(rep["overlap_component_nodes"]), rel=1e-10)
+    assert rep["true_mu_N"] == pytest.approx(circle[rep["N"] - 1], rel=1e-10)
+
+
+def test_s1_case_study_builds_no_graded_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dim x dim graded matrix built")
+
+    monkeypatch.setattr(DiracComplexMatrix, "d", property(refuse))
+    monkeypatch.setattr(DiracComplexMatrix, "P", property(refuse))
+    assert s1_case_study(64, 0.125)["valid"]
+
+
+def test_zero_cutoff_at_the_case_study_limit():
+    # the largest interval s1_case_study can build: the smallest positive
+    # eigenvalue is sin^2(pi / 4098) ~ 5.9e-7 of the largest, far above 1e-9
+    cx = build_interval_complex(2049, 2.0 * math.pi, "Absolute")
+    assert harmonic_dimension(cx) == 1
+    assert exact_positive_spectrum(cx).size == 2048

@@ -487,3 +487,20 @@ def test_phase_engine_advances_each_phase_once(monkeypatch):
     assert len(calls) == 2 * 512
     theta_at(3.5, 1024)
     assert len(calls) == 2 * (512 + 1024)
+
+
+def test_phase_is_monotone_just_above_a_plateau_of_q():
+    import tubespec.sturm_liouville as sl
+    # q == 2 with attractive Robin ends: 2 is an eigenvalue, so theta(m1)
+    # sits one half-turn above the target there and grows like lam - 2 just
+    # above it.  The integer half-turns must stay out of the O(om) modified
+    # phase, or rounding amplified by 1/om buries that growth in noise
+    p = SLProblem(q=lambda u: 0.0 * u + 2.0, m0=0.0, m1=2.0,
+                  bc_left=BoundaryCondition.robin(-1.0),
+                  bc_right=BoundaryCondition.robin(1.0))
+    theta, _ = sl._phase_engine(p)
+    target = sl._theta_target(p)
+    excess = [theta(2.0 + eps, 128) - target - math.pi
+              for eps in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)]
+    assert all(e > 0.0 for e in excess), excess
+    assert all(a < b for a, b in zip(excess, excess[1:])), excess

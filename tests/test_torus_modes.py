@@ -185,6 +185,18 @@ def test_verify_identities_mixed_mode():
     assert rep["normalization_rel_error"] <= 1e-8
 
 
+def test_verify_identities_catches_a_misnormalized_mode(monkeypatch):
+    import tubespec.torus_modes as tm
+    real = tm._g_value
+    # a constant factor leaves every derivative identity intact; only the
+    # normalization quadrature can see it
+    monkeypatch.setattr(tm, "_g_value", lambda *args: 1.37 * real(*args))
+    rep = verify_mode_identities(ModeIndex(1, 1), _tube(6.0))
+    assert rep["max_residual"] <= 1e-6
+    assert rep["normalization_rel_error"] == pytest.approx(1.37**2 - 1.0)
+    assert not rep["passed"]
+
+
 def test_verify_identities_r10_mode():
     rep = verify_mode_identities(ModeIndex(2, -1), _tube(10.0))
     assert rep["passed"], rep
