@@ -155,7 +155,7 @@ def cmd_bound(args, config: dict):
         config = dict(config)
         config["C_rho"] = c_rho_from_partition(
             c_rho["rho"], float(c_rho["step"]),
-            periodic=bool(c_rho.get("periodic", False)))
+            periodic=c_rho.get("periodic", False))
     cover = cover_from_json(config)
     ordered = bool(args.ordered)
     want_dirac = args.dirac or not args.laplacian

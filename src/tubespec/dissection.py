@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import check_fields, check_int
+from .jsonio import check_bool, check_fields, check_int
 
 __all__ = [
     "CoverSpec",
@@ -299,6 +299,7 @@ def c_rho_from_partition(samples, step: float, periodic: bool = False) -> float:
     (wrapping when periodic).  Rows must be nonnegative and sum to 1 at
     every node within 1e-8, which is what makes them a partition of unity.
     """
+    periodic = check_bool(periodic, "periodic")
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
         raise ValueError("partition samples must be a 2-D array with >= 2 columns")

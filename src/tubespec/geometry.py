@@ -9,7 +9,9 @@ standard reparametrization the relevant warping functions are
 
     f(u) = cosh(R - u),      h(u) = sinh(R - u),
 
-defined for u < R.  The boundary tori F_u have mean curvature
+defined for u < R.  These are exact: the corrections phi and psi only
+carry the e^{-2u} form of the metric onto f^2 dt^2 + h^2 dtheta^2, so
+nothing here evaluates them.  The boundary tori F_u have mean curvature
 H(u) = -1/2 d/du log(f h), and the Robin coefficient used by the absolute
 boundary condition is beta(u) = d/du log(f h) = -2 H(u).
 
@@ -21,6 +23,7 @@ E1 e^{-R} <= rho <= E2 e^{-R} along an increasing grid of R values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +35,6 @@ __all__ = [
     "WarpedProfile",
     "DegenerationSchedule",
     "schedule_instantiate",
-    "aux_phi_psi",
     "schedule_to_json",
     "schedule_from_json",
 ]
@@ -127,8 +129,12 @@ class DegenerationSchedule:
     R_grid: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.D1, self.D2, self.E1, self.E2)):
-            raise ValueError("D1, D2, E1 and E2 must be finite")
+        for name in ("D1", "D2", "E1", "E2"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (0 < self.D1 <= self.D2):
             raise ValueError(f"need 0 < D1 <= D2, got D1={self.D1}, D2={self.D2}")
         if not (0 < self.E1 <= self.E2):
@@ -165,30 +171,6 @@ def schedule_instantiate(schedule: DegenerationSchedule, j: int) -> TubeGeometry
         r0=None,
         R0=R - 1.0,
     )
-
-
-def aux_phi_psi(geometry: TubeGeometry, u):
-    """Metric correction pair (phi(u), psi(u)) of the exact tube metric.
-
-    phi(u) = 1/4 (e^{2u}-1) cosh^-2(R) (e^{-2R}(1+e^{2u}) + 2)
-    psi(u) = 1/4 (e^{2u}-1) sinh^-2(R) (e^{-2R}(1+e^{2u}) - 2)
-
-    Both vanish at u = 0 and tend to 0 for fixed u as R grows, which is the
-    sense in which the exact metric approaches the pure warped product.
-    Here u is measured from the core (u = R - r), valid on [0, R].
-    """
-    u = np.asarray(u, dtype=float)
-    R = geometry.R
-    if np.any(u < 0) or np.any(u > R):
-        raise ValueError(f"u must lie in [0, R={R}]")
-    e2u = np.exp(2.0 * u)
-    common = 0.25 * (e2u - 1.0)
-    inner = math.exp(-2.0 * R) * (1.0 + e2u)
-    phi = common / math.cosh(R) ** 2 * (inner + 2.0)
-    psi = common / math.sinh(R) ** 2 * (inner - 2.0)
-    if phi.ndim == 0:
-        return float(phi), float(psi)
-    return phi, psi
 
 
 def schedule_to_json(sched: DegenerationSchedule) -> dict:

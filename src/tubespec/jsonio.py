@@ -5,8 +5,8 @@ canonicalized: object keys sorted, floats printed with 17 significant
 digits (round-trip exact for IEEE doubles), '.' decimal point regardless of
 locale, newline-terminated files.  Non-finite floats are rejected rather
 than serialized, since a NaN in a report is always a bug upstream.
-check_fields validates the keys of every JSON input document, and
-check_int every integer read from one.
+check_fields validates the keys of every JSON input document, check_int
+every integer read from one, and check_bool every boolean.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["canonical_json", "write_json", "write_csv", "format_float", "check_fields",
-           "check_int"]
+           "check_int", "check_bool"]
 
 
 def check_fields(doc, what: str, allowed=None, required=()):
@@ -50,6 +50,17 @@ def check_int(value, what: str) -> int:
             and float(value).is_integer()):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_bool(value, what: str) -> bool:
+    """Return value if it is a boolean.
+
+    Raises ValueError naming `what` for anything else, a string such as
+    "false" or a number included, instead of reading it as bool() would.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{what} must be true or false, got {value!r}")
 
 
 def format_float(x: float) -> str:

@@ -16,9 +16,20 @@ and eigenvalues
 With f = cosh(x) and h = sinh(x) at x = R - u, both kappa summands are
 nondecreasing in u on [r0, R0]: x > 0 (R0 < R) falls as u rises, and cosh
 and sinh increase on x > 0, so 1/f^2 and 1/h^2 rise.  The infimum of every
-kappa_i over [r0, R0] is therefore kappa_i(r0), and the truncation
-certificate evaluates every floor there: the lattice modes, the
-wraparound strip |r| <= 2 pi / rho and the closed-form tails outside it.
+kappa_i over [r0, R0] is therefore kappa_i(r0), and every floor of the
+truncation certificate is taken there.
+
+At u = r0, with w = 2 pi s + r rho, f0 = f(r0) and h0 = h(r0), the modes
+with kappa <= c are the lattice points of the ellipse
+
+    w^2 / (epsilon f0)^2 + r^2 / h0^2 <= c,
+
+so |r| <= h0 sqrt(c), and in each row s the admissible r satisfy
+|2 pi s + r rho| <= epsilon f0 sqrt(c); when rho = 0 every r of a row
+shares w = 2 pi s.  modes_below enumerates those points and bounds
+kappa(r0) from below over every other mode: rejected candidates by their
+own value, rows past the r range by r^2 / h0^2, and modes outside each
+row's r band by w^2 / (epsilon f0)^2.
 """
 
 from __future__ import annotations
@@ -34,10 +45,13 @@ from .geometry import TubeGeometry, WarpedProfile
 __all__ = [
     "ModeIndex",
     "kappa_value",
-    "enumerate_modes",
+    "modes_below",
     "min_offzero_kappa",
     "verify_mode_identities",
 ]
+
+# modes_below refuses to enumerate more candidates than a 33 x 33 lattice
+MAX_MODE_CANDIDATES = 33 * 33
 
 
 @dataclass(frozen=True, order=True)
@@ -71,92 +85,91 @@ def kappa_value(r, s, u, geometry: TubeGeometry):
     return (w / (geometry.epsilon * f)) ** 2 + (np.asarray(r, dtype=float) / h) ** 2
 
 
-def enumerate_modes(M_max: int) -> list[ModeIndex]:
-    """All (r, s) with |r|, |s| <= M_max, in lexicographic order."""
-    if M_max < 0:
-        raise ValueError("M_max must be >= 0")
-    return [ModeIndex(r, s)
-            for r in range(-M_max, M_max + 1)
-            for s in range(-M_max, M_max + 1)]
+def modes_below(geometry: TubeGeometry, cutoff: float):
+    """(modes, floor): every mode with kappa(r0) <= cutoff, and a floor on the rest.
 
-
-def _outside_lattice_floor(geometry: TubeGeometry, M_max: int) -> float:
-    """Certified lower bound on inf_u kappa over all modes outside the lattice.
-
-    Outside means |r| > M_max or |s| > M_max.  Pieces:
-      * |s| > M_max, |r| <= M_max:  |w| >= 2 pi (M_max+1) - M_max rho > 0.
-      * |r| in the wraparound strip (M_max, 2 pi/rho]: evaluated exactly at
-        u = r0 over the three s nearest -r rho / (2 pi); any other s has
-        |w| >= 3 pi.
-      * |r| beyond the strip: kappa >= r^2 / h(r0)^2 already clears it.
-    All evaluations at u = r0, where every kappa_i takes its infimum over
-    [r0, R0] (module docstring), so this floor covers the whole interval.
+    The modes come in lexicographic (r, s) order.  The candidates are the
+    lattice points of the ellipse kappa(r0) <= cutoff (module docstring),
+    padded by one on every side so that rounding cannot drop a mode on its
+    boundary, and they are filtered by kappa_value itself.  The floor is a
+    lower bound on kappa(r0), hence on inf kappa over [r0, R0], for every
+    mode that is not returned; it exceeds the cutoff.  Past
+    MAX_MODE_CANDIDATES candidates the enumeration raises RuntimeError.
     """
     r0 = geometry.require_r0()
-    eps, rho = geometry.epsilon, geometry.rho
+    cutoff = float(cutoff)
+    if not (cutoff >= 0.0 and math.isfinite(cutoff)):
+        raise ValueError(f"cutoff must be nonnegative and finite, got {cutoff}")
+    rho = geometry.rho
     x0 = geometry.R - r0
-    f0 = float(np.cosh(x0))
     h0 = float(np.sinh(x0))
+    ef0 = geometry.epsilon * float(np.cosh(x0))
+    root = math.sqrt(cutoff)
+    w_max = ef0 * root
+    r_max = math.floor(h0 * root) + 1.0
+    s_top = math.floor((w_max + r_max * rho) / (2.0 * math.pi)) + 2
+    refusal = (f"enumerating the fiber modes below kappa(r0) = {cutoff:.6g} takes "
+               f"more than {MAX_MODE_CANDIDATES} candidates or an r range past 2^52")
+    # r stays a float, exact only up to 2^52
+    if 2 * s_top + 1 > MAX_MODE_CANDIDATES or r_max > 2.0 ** 52:
+        raise RuntimeError(refusal)
+    s = np.arange(-s_top, s_top + 1, dtype=float)
+    if rho > 0.0:
+        r_lo = np.ceil((-2.0 * math.pi * s - w_max) / rho) - 1.0
+        r_hi = np.floor((-2.0 * math.pi * s + w_max) / rho) + 1.0
+    else:
+        # every r shares w = 2 pi s; rows past the band get an empty r range
+        # whose neighbours 0 and -1 carry that w
+        band = np.abs(s) < s_top
+        r_lo = np.where(band, -r_max, 0.0)
+        r_hi = np.where(band, r_max, -1.0)
+    r_lo = np.clip(r_lo, -r_max, r_max + 1)
+    r_hi = np.clip(r_hi, -r_max - 1, r_max)
+    counts = np.maximum(r_hi - r_lo + 1.0, 0.0)
+    if counts.sum() > MAX_MODE_CANDIDATES:
+        raise RuntimeError(refusal)
 
-    w_min = 2.0 * math.pi * (M_max + 1) - M_max * rho
-    tail_s = (w_min / (eps * f0)) ** 2
+    r = np.concatenate([np.arange(lo, hi + 1.0) for lo, hi in zip(r_lo, r_hi)])
+    s_of_r = np.repeat(s, counts.astype(int))
+    order = np.lexsort((s_of_r, r))
+    r, s_of_r = r[order], s_of_r[order]
+    kappa = kappa_value(r, s_of_r, r0, geometry)
+    below = kappa <= cutoff
 
-    if rho == 0.0:
-        # no wraparound: s = 0 tail is r^2/h^2, any s != 0 has |w| >= 2 pi
-        tail_r = ((M_max + 1) / h0) ** 2
-        tail_ws = (2.0 * math.pi / (eps * f0)) ** 2
-        return min(tail_s, tail_r, tail_ws)
-
-    r_strip = int(math.ceil(2.0 * math.pi / rho))
-    if r_strip > 50_000_000:
-        raise RuntimeError(
-            "increase M_max: twist too small for the wraparound strip certificate")
-    strip_min = math.inf
-    if r_strip > M_max:
-        rr = np.arange(M_max + 1, r_strip + 1, dtype=float)
-        s_near = np.rint(-rr * rho / (2.0 * math.pi))
-        strip_min = min(float(kappa_value(rr, s_near + ds, r0, geometry).min())
-                        for ds in (-1.0, 0.0, 1.0))
-    tail_far = ((max(M_max, r_strip) + 1) / h0) ** 2
-    tail_ws = (3.0 * math.pi / (eps * f0)) ** 2
-    return min(tail_s, strip_min, tail_far, tail_ws)
+    # a mode that is no candidate lies past the r range, where kappa >=
+    # r^2/h0^2, or in a row s beyond the first missing r on one side of the
+    # band, where |w| only grows; rows past +-s_top have |w| at least that
+    # of (-+r_max, +-s_top) plus 2 pi
+    r_next = np.concatenate([r_lo - 1.0, r_hi + 1.0])
+    w_next = np.abs(2.0 * math.pi * np.concatenate([s, s]) + r_next * rho)
+    w_gap = float(w_next[np.abs(r_next) <= r_max].min())
+    floor = min(float(kappa[~below].min(initial=math.inf)),
+                (w_gap / ef0) ** 2, ((r_max + 1) / h0) ** 2)
+    if not floor > cutoff:
+        raise RuntimeError(f"mode floor {floor!r} does not clear the cutoff {cutoff!r}")
+    modes = [ModeIndex(int(a), int(b)) for a, b in zip(r[below], s_of_r[below])]
+    return modes, floor
 
 
-def min_offzero_kappa(geometry: TubeGeometry, M_max: int):
-    """Minimum of kappa over u in [r0, R0] and lattice modes != (0, 0).
+def min_offzero_kappa(geometry: TubeGeometry):
+    """Minimum of kappa over u in [r0, R0] and all modes != (0, 0).
 
-    Returns (minimum, certificate).  Each mode's infimum over [r0, R0] is
-    its value at r0 (module docstring), so the minimum is taken over the
-    lattice at u = r0.  The certificate shows that enlarging M_max cannot
-    lower it: the lattice boundary ring and everything outside the lattice
-    are bounded below by the achieved minimum.  Certificate failure raises
-    with an "increase M_max" message.
+    Returns (minimum, {"achieved", "argmin_mode"}).  Each mode's infimum
+    over [r0, R0] is its value at r0 (module docstring).  The minimum is at
+    most min(kappa(0, 1), kappa(1, 0)) (s = 0 is the s nearest -rho/(2 pi),
+    as 0 <= rho < pi), so it is the smallest off-zero value that
+    modes_below returns at that bound; the argmin is the first minimizer in
+    lexicographic order.
     """
-    if M_max < 1:
-        raise ValueError("increase M_max: lattice holds no off-zero mode")
-    modes = [m for m in enumerate_modes(M_max) if not m.is_zero]
-    per_mode = kappa_value([m.r for m in modes], [m.s for m in modes],
-                           geometry.require_r0(), geometry)
+    r0 = geometry.require_r0()
+    bound = float(kappa_value([0, 1], [1, 0], r0, geometry).min())
+    modes, _ = modes_below(geometry, bound)
+    modes = [m for m in modes if not m.is_zero]
+    per_mode = kappa_value([m.r for m in modes], [m.s for m in modes], r0, geometry)
     imin = int(np.argmin(per_mode))
     achieved = float(per_mode[imin])
-
-    ring = [abs(m.r) == M_max or abs(m.s) == M_max for m in modes]
-    ring_min = float(per_mode[np.asarray(ring)].min())
-    outside = _outside_lattice_floor(geometry, M_max)
-    slack = 1e-12 * max(1.0, achieved)
-    if min(ring_min, outside) < achieved - slack:
-        raise RuntimeError(
-            f"increase M_max: lattice M_max={M_max} cannot certify the minimum "
-            f"(achieved {achieved:.6g}, boundary ring {ring_min:.6g}, "
-            f"outside floor {outside:.6g})")
-    cert = {
-        "M_max": M_max,
-        "achieved": achieved,
-        "argmin_mode": (modes[imin].r, modes[imin].s),
-        "ring_min": ring_min,
-        "outside_floor": outside,
-    }
-    return achieved, cert
+    return achieved, {"achieved": achieved,
+                      "argmin_mode": (modes[imin].r, modes[imin].s)}
 
 
 def _g_value(mode: ModeIndex, geometry: TubeGeometry, u, t, theta):

@@ -12,9 +12,10 @@ mode is excluded from the merged spectrum by default because its
 eigenvalues do not belong to the absolute spectrum of the ambient operator.
 
 Mode selection is certified: a mode is skipped only when its potential
-floor minus the attractive-boundary constant exceeds the window top, and
-the lattice cutoff M_max is enlarged until everything outside the lattice
-is certified skippable.
+floor minus the attractive-boundary constant exceeds the window top.  The
+modes that can reach the window are the lattice points of an ellipse
+(torus_modes.modes_below), and its floor certifies that every mode left
+out is skippable.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DegenerationSchedule, TubeGeometry, WarpedProfile, schedule_instantiate
+from .jsonio import check_bool
 from .sturm_liouville import (
     BoundaryCondition,
     SLProblem,
@@ -32,7 +34,7 @@ from .sturm_liouville import (
     solve_cross_validated,
     spectral_floor,
 )
-from .torus_modes import ModeIndex, enumerate_modes, kappa_value, min_offzero_kappa
+from .torus_modes import ModeIndex, kappa_value, min_offzero_kappa, modes_below
 
 __all__ = [
     "FloorViolation",
@@ -55,7 +57,6 @@ FAMILIES = ("Abs1", "Abs2")
 # keeping the worst R=10 solve well under a second)
 _GRID_N = 2048
 _PHASE_TOL = 1e-7
-_M_MAX_LADDER = (1, 2, 4, 8, 16)
 
 
 class FloorViolation(RuntimeError):
@@ -67,10 +68,13 @@ class FloorViolation(RuntimeError):
 
 
 class _WindowOptions:
-    """lambda_max (stored as a float) and family checks of requests and sweeps."""
+    """lambda_max (stored as a float), family and include_zero_mode checks of
+    requests and sweeps."""
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_max", float(self.lambda_max))
+        object.__setattr__(self, "include_zero_mode",
+                           check_bool(self.include_zero_mode, "include_zero_mode"))
         if not (self.lambda_max > 0 and math.isfinite(self.lambda_max)):
             raise ValueError("lambda_max must be positive and finite")
         if self.family not in ("Abs1", "Abs2", "Both"):
@@ -134,30 +138,6 @@ def assemble_mode_problem(mode: ModeIndex, geometry: TubeGeometry,
     return SLProblem(q=q, m0=r0, m1=R0, bc_left=bc_l, bc_right=bc_r)
 
 
-def _certified_lattice(geometry: TubeGeometry, cutoff: float = -math.inf):
-    """(M_max, inf kappa, certificate) at the first ladder rung that certifies.
-
-    A rung certifies when min_offzero_kappa does not reject its lattice and
-    the outside-lattice floor clears the cutoff.  When none does, the last
-    lattice error is re-raised, or, if every lattice was accepted, the
-    cutoff failure.
-    """
-    last_err = None
-    for M in _M_MAX_LADDER:
-        try:
-            achieved, cert = min_offzero_kappa(geometry, M)
-        except RuntimeError as exc:
-            last_err = exc
-            continue
-        if cert["outside_floor"] > cutoff:
-            return M, achieved, cert
-    if last_err is not None:
-        raise RuntimeError(str(last_err))
-    raise RuntimeError(
-        f"increase M_max: no lattice up to {_M_MAX_LADDER[-1]} certifies that "
-        f"modes outside it stay above the skip cutoff {cutoff:.6g}")
-
-
 def _canonical(mode: ModeIndex) -> ModeIndex:
     # kappa depends on (r, s) only through w^2 and r^2, so (r, s) and
     # (-r, -s) share one scalar problem
@@ -172,9 +152,10 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
     A mode/family pair is solved unless inf_u kappa - C(beta) > lambda_max,
     where C is the attractive-boundary constant of that family (zero for
     Dirichlet) and inf_u kappa is the mode's kappa at r0, where it is
-    smallest on [r0, R0]; everything outside the mode lattice is certified
-    skippable the same way, by floors also taken at r0.  Every solve runs
-    both methods and must cross-validate.
+    smallest on [r0, R0].  Only the modes with inf kappa at most the largest
+    such cutoff are enumerated; the floor of modes_below shows that every
+    other mode is skipped.  Every solve runs both methods and must
+    cross-validate.
     """
     geom = request.geometry
     lam_max = request.lambda_max
@@ -186,10 +167,9 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
         c_beta[fam] = attractive_boundary_constant(probe)
     cutoff = lam_max + max(c_beta.values())
 
-    M_used, kappa_min, cert = _certified_lattice(geom, cutoff)
-
-    modes = [m for m in enumerate_modes(M_used)
-             if request.include_zero_mode or not m.is_zero]
+    kappa_min, _ = min_offzero_kappa(geom)
+    modes, outside_floor = modes_below(geom, cutoff)
+    modes = [m for m in modes if request.include_zero_mode or not m.is_zero]
 
     inf_kappa = kappa_value(np.array([m.r for m in modes]),
                             np.array([m.s for m in modes]), geom.r0, geom)
@@ -220,10 +200,8 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
     offzero = [e.eigenvalue for e in entries
                if not e.mode.is_zero and e.eigenvalue > 0]
     certificate = {
-        "M_max": M_used,
         "kappa_min_offzero": kappa_min,
-        "ring_min": cert["ring_min"],
-        "outside_floor": cert["outside_floor"],
+        "outside_floor": outside_floor,
         "skip_cutoff": cutoff,
         "C_beta": dict(c_beta),
         "lambda_max": lam_max,
@@ -252,7 +230,7 @@ def find_r0(geometry: TubeGeometry, threshold: float = 5.0):
     best = None
     for r0 in candidates:
         try:
-            _, achieved, _ = _certified_lattice(geometry.with_r0(r0))
+            achieved, _ = min_offzero_kappa(geometry.with_r0(r0))
         except RuntimeError:
             continue
         best = achieved if best is None else max(best, achieved)
@@ -276,7 +254,6 @@ class SweepOptions(_WindowOptions):
         object.__setattr__(self, "threshold", float(self.threshold))
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        object.__setattr__(self, "include_zero_mode", bool(self.include_zero_mode))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 
 import tubespec.cli as cli
 from tubespec.cli import main
-from tubespec.jsonio import check_int
+from tubespec.jsonio import check_bool, check_int
 
 SL_CONFIG = {
     "problem": {
@@ -154,6 +154,12 @@ def test_bound_partition_form_for_c_rho(tmp_path):
 def test_bound_partition_form_validation(tmp_path):
     cfg = _write_config(tmp_path, {**BOUND_CONFIG, "C_rho": {"step": 0.1}})
     assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+    # "no" is a string, not false: read as bool() it would wrap the ramp
+    # and give C_rho 2 instead of 0.5
+    cfg = _write_config(tmp_path, {**BOUND_CONFIG, "C_rho": {
+        "step": 0.5, "rho": [[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]], "periodic": "no"}})
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_s1_dissect_default_run(tmp_path):
@@ -222,6 +228,18 @@ def test_tube_sweep_short_tube_documents_failure(tmp_path):
     assert "FAILED:" in csv_text
 
 
+def test_tube_sweep_far_wraparound_tube(tmp_path):
+    # at D1 = 0.1, R = 3 the smallest off-zero kappa sits at +-(126, -1),
+    # so r0 = 0 already clears the threshold and the window (0, 10] is empty
+    assert main(["tube-sweep", "--out", str(tmp_path), "--override", "D1=0.1",
+                 "--override", "D2=0.1", "--override", "R_grid=[3]",
+                 "--override", "lambda_max=10"]) == 0
+    row = _read_json(tmp_path, "tube_sweep.json")["rows"][0]
+    assert row["failure"] is None and row["pass"] is True
+    assert row["r0"] == 0 and row["achieved_inf"] == 174.29862220464287
+    assert row["n_entries"] == 0
+
+
 def test_tube_sweep_reference_tube(tmp_path):
     assert main(["tube-sweep", "--out", str(tmp_path),
                  "--override", "R_grid=[6.0]"]) == 0
@@ -271,6 +289,12 @@ def test_bad_override_shape_is_input_error(tmp_path, capsys):
         ["tube-sweep", "--override", "family=Bogus", "--override", "R_grid=[6]"],
         ["tube-sweep", "--override", "lambda_max=-1", "--override", "R_grid=[6]"],
         ["tube-sweep", "--override", "threshold=NaN", "--override", "R_grid=[1.2]"],
+        # a string or number is not read as a boolean, nor a boolean as a number
+        ["tube-sweep", "--override", 'include_zero_mode="false"',
+         "--override", "R_grid=[6]"],
+        ["tube-sweep", "--override", "include_zero_mode=0", "--override", "R_grid=[6]"],
+        ["tube-sweep", "--override", "D1=true", "--override", "R_grid=[6]"],
+        ["tube-sweep", "--override", 'E2="2"', "--override", "R_grid=[6]"],
         # a grid past cli.MAX_T_GRID_POINTS, or a non-finite one, is refused
         # before any grid point is built
         ["berger-curve", "--override", "t_max=1e12"],
@@ -327,6 +351,14 @@ def test_check_int_accepts_integral_values_only():
             check_int(bad, "k")
 
 
+def test_check_bool_accepts_booleans_only():
+    assert [check_bool(v, "flag") for v in (True, False, np.bool_(True))] == [True, False, True]
+    assert type(check_bool(np.bool_(False), "flag")) is bool
+    for bad in ("false", "true", "no", 0, 1, 0.0, None, []):
+        with pytest.raises(ValueError, match="flag must be true or false"):
+            check_bool(bad, "flag")
+
+
 def test_integral_float_input_is_read_as_that_integer(tmp_path):
     assert main(["s1-dissect", "--override", "n=64.0", "--out", str(tmp_path)]) == 0
     assert _read_json(tmp_path, "s1_dissect.json")["n"] == 64
@@ -342,33 +374,49 @@ def test_seed_is_an_option_of_compare_ode_alone(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-# small, fast configs; the junk sweep below spoils one top-level key at a time
+# small, fast configs; the junk sweep below spoils one key at a time, at the
+# top level and at the nested paths of JUNK_NESTED
 JUNK_BASE = {
     "sl-solve": {**SL_CONFIG, "method": "cross", "grid_n": 64},
     "tube-sweep": {"R_grid": [6], "lambda_max": 2,
-                   "D1": 1.0, "D2": 1.0, "E1": 1.0, "E2": 1.0},
-    "bound": BOUND_CONFIG,
+                   "D1": 1.0, "D2": 1.0, "E1": 1.0, "E2": 1.0,
+                   "include_zero_mode": False, "threshold": 5.0, "family": "Both"},
+    "bound": {**BOUND_CONFIG, "C_rho": {"step": 0.5, "periodic": False,
+                                        "rho": [[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]]}},
     "s1-dissect": {"n": 32, "overlap_fraction": 0.125},
     "compare-ode": {"suite": "A.1", "count": 1, "seed": 7},
     "berger-curve": {"a": 1.0, "b": 1.0, "m": 2, "epsilon_bound": 0.1,
                      "t_max": 20.0, "t_step": 1.0, "thresholds": [10.0]},
 }
+JUNK_NESTED = {
+    "sl-solve": [("problem", key) for key in SL_CONFIG["problem"]],
+    "bound": [("mu_pair", "0-1"), ("C_rho", "step"), ("C_rho", "rho"),
+              ("C_rho", "periodic")],
+}
 JUNK_VALUES = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0]
 _DELETE = object()
+
+
+def _spoiled(base, path, value):
+    doc = json.loads(json.dumps(base))
+    *outer, key = path
+    target = doc
+    for step in outer:
+        target = target[step]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
 
 
 @pytest.mark.parametrize("command", sorted(JUNK_BASE))
 def test_junk_config_exits_cleanly(command, tmp_path):
     base = JUNK_BASE[command]
-    variants = [{**base, "mystery": 1}]
-    for key in base:
-        for value in JUNK_VALUES + [_DELETE]:
-            doc = dict(base)
-            if value is _DELETE:
-                del doc[key]
-            else:
-                doc[key] = value
-            variants.append(doc)
+    paths = [(key,) for key in base] + JUNK_NESTED.get(command, [])
+    variants = [{**base, "mystery": 1}] + [
+        _spoiled(base, path, value)
+        for path in paths for value in JUNK_VALUES + [_DELETE]]
     for i, doc in enumerate(variants):
         # json.dumps writes NaN and Infinity, which the config reader accepts
         cfg = _write_config(tmp_path, doc, f"config{i}.json")

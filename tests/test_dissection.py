@@ -223,6 +223,9 @@ def test_c_rho_validation():
         c_rho_from_partition(np.array([[-0.5, 1.0], [1.5, 0.0]]), 1.0)
     with pytest.raises(ValueError, match="sum to 1"):
         c_rho_from_partition(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+    # a string is not read as True
+    with pytest.raises(ValueError, match="periodic must be true or false"):
+        c_rho_from_partition(good, 1.0, periodic="no")
 
 
 def test_cover_json_round_trip():

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from tubespec.geometry import (
     DegenerationSchedule,
     TubeGeometry,
     WarpedProfile,
-    aux_phi_psi,
     schedule_from_json,
     schedule_instantiate,
     schedule_to_json,
@@ -84,6 +82,12 @@ def test_schedule_validation():
         DegenerationSchedule(R_grid=(6.0, 6.0))
     with pytest.raises(ValueError):
         DegenerationSchedule(R_grid=(-1.0, 6.0))
+    # booleans and strings are refused, not read as 1.0 or compared
+    for bad in (True, "1.0", None):
+        with pytest.raises(ValueError, match="D1 must be a finite number"):
+            DegenerationSchedule(D1=bad)
+    sched = DegenerationSchedule(D1=1, D2=np.float64(2), E1=1, E2=1)
+    assert [type(v) for v in (sched.D1, sched.D2, sched.E1, sched.E2)] == [float] * 4
 
 
 def test_profile_H_identity_against_numerical_log_derivative():
@@ -119,39 +123,6 @@ def test_profile_domain_guard():
     with pytest.raises(ValueError):
         prof.h(4.0)
     assert prof.f(4.0) == 1.0  # f is defined through u = R
-
-
-def test_aux_phi_psi_vanishes_at_zero():
-    geom = TubeGeometry(R=6.0, r0=1.0, R0=5.0,
-                        epsilon=math.exp(-12.0), rho=math.exp(-6.0))
-    phi, psi = aux_phi_psi(geom, 0.0)
-    assert phi == 0.0 and psi == 0.0
-
-
-def test_aux_phi_psi_high_precision_oracle():
-    # independent arbitrary-precision evaluation of the closed form at R=8, u=2
-    geom = TubeGeometry(R=8.0, r0=1.0, R0=7.0,
-                        epsilon=math.exp(-16.0), rho=math.exp(-8.0))
-    phi, psi = aux_phi_psi(geom, 2.0)
-    with mpmath.workdps(50):
-        R, u = mpmath.mpf(8), mpmath.mpf(2)
-        common = (mpmath.e**(2 * u) - 1) / 4
-        inner = mpmath.e**(-2 * R) * (1 + mpmath.e**(2 * u))
-        phi_hp = common / mpmath.cosh(R)**2 * (inner + 2)
-        psi_hp = common / mpmath.sinh(R)**2 * (inner - 2)
-        assert phi == pytest.approx(float(phi_hp), rel=1e-14)
-        assert psi == pytest.approx(float(psi_hp), rel=1e-14)
-
-
-def test_aux_phi_psi_decay_along_R_grid():
-    # fixed u: |phi| + |psi| decreases monotonically as R grows
-    vals = []
-    for R in (6.0, 8.0, 10.0, 12.0):
-        geom = TubeGeometry(R=R, r0=1.0, R0=R - 1.0,
-                            epsilon=math.exp(-2 * R), rho=math.exp(-R))
-        phi, psi = aux_phi_psi(geom, 2.0)
-        vals.append(abs(phi) + abs(psi))
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from tubespec.geometry import DegenerationSchedule, TubeGeometry, schedule_instantiate
 from tubespec.torus_modes import (
+    MAX_MODE_CANDIDATES,
     ModeIndex,
-    enumerate_modes,
     kappa_value,
     min_offzero_kappa,
+    modes_below,
     verify_mode_identities,
 )
 
@@ -56,13 +57,61 @@ def test_kappa_domain_guard():
         kappa_value(1, 0, 6.0, geom)
 
 
-def test_enumerate_modes_counts_and_order():
-    assert enumerate_modes(0) == [ModeIndex(0, 0)]
-    assert len(enumerate_modes(1)) == 9
-    modes2 = enumerate_modes(2)
-    assert len(modes2) == 25
-    assert modes2[0] == ModeIndex(-2, -2)
-    assert modes2 == sorted(modes2)
+def _box(r_max, s_max):
+    r, s = np.meshgrid(np.arange(-r_max, r_max + 1), np.arange(-s_max, s_max + 1),
+                       indexing="ij")
+    return r.ravel(), s.ravel()
+
+
+def _brute_force_cases():
+    cases = []
+    for D1, E1 in ((1.0, 1.0), (0.1, 1.0), (1.0, 10.0)):
+        sched = DegenerationSchedule(D1=D1, D2=D1, E1=E1, E2=E1, R_grid=(3.0, 6.0, 10.0))
+        for j in range(3):
+            geom = schedule_instantiate(sched, j).with_r0(0.2)
+            bound = float(kappa_value([0, 1], [1, 0], geom.r0, geom).min())
+            for cutoff in (0.0, 0.5 * bound, bound, 2.0, 12.0):
+                cases.append((geom, cutoff))
+    # rho = 0: one s row, and a wide leaf whose ellipse spans several rows
+    for geom, cutoffs in (
+            (TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=0.0, r0=0.2, R0=5.0),
+             (1e-4, 0.01, 0.5)),
+            (TubeGeometry(R=3.0, epsilon=1.0, rho=0.0, r0=0.0, R0=2.0),
+             (0.3, 1.0, 4.0))):
+        cases += [(geom, c) for c in cutoffs]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "geom,cutoff", _brute_force_cases(),
+    ids=lambda v: f"{v:.4g}" if isinstance(v, float) else
+    f"R={v.R:g}-eps={v.epsilon:.3g}-rho={v.rho:.3g}")
+def test_modes_below_matches_brute_force(geom, cutoff):
+    # a box that holds the ellipse with room to spare on every side, so the
+    # floor faces rejected candidates, rows past the r range and modes
+    # outside each row's r band
+    x0 = geom.R - geom.r0
+    r_e = math.sinh(x0) * math.sqrt(cutoff)
+    w_e = geom.epsilon * math.cosh(x0) * math.sqrt(cutoff)
+    r_box = int(r_e) + 4
+    r, s = _box(r_box, int((w_e + r_box * geom.rho) / (2.0 * math.pi)) + 4)
+    k = kappa_value(r, s, geom.r0, geom)
+    modes, floor = modes_below(geom, cutoff)
+    inside = k <= cutoff
+    assert modes == sorted(ModeIndex(int(a), int(b)) for a, b in zip(r[inside], s[inside]))
+    assert cutoff < floor <= k[~inside].min()
+
+
+def test_modes_below_refuses_past_the_cap():
+    geom = TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=0.0, r0=0.2, R0=5.0)
+    # rho = 0 puts every |r| <= sinh(5.8) sqrt(cutoff) in the s = 0 row
+    with pytest.raises(RuntimeError, match=str(MAX_MODE_CANDIDATES)):
+        modes_below(geom, 10.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cutoff"):
+            modes_below(geom, bad)
+    with pytest.raises(ValueError, match="r0"):
+        modes_below(TubeGeometry(R=6.0, epsilon=1.0, rho=0.0), 1.0)
 
 
 def test_mode_index_validation():
@@ -87,9 +136,9 @@ def test_kappa_symmetry_and_sign(r, s, frac):
 
 
 def test_min_offzero_against_brute_force():
-    # dense lattice at doubled M_max plus a fine u grid must not find less
+    # a square lattice plus a fine u grid must not find less
     geom = _tube(8.0, r0=3.0)
-    achieved, cert = min_offzero_kappa(geom, M_max=4)
+    achieved, cert = min_offzero_kappa(geom)
     u = np.linspace(geom.r0, geom.R0, 20001)
     brute = math.inf
     for r in range(-8, 9):
@@ -99,28 +148,32 @@ def test_min_offzero_against_brute_force():
             brute = min(brute, float(np.min(kappa_value(r, s, u, geom))))
     assert achieved == pytest.approx(brute, rel=1e-9)
     assert achieved > 0.0
-    assert cert["ring_min"] > achieved
-    assert cert["outside_floor"] > achieved
+    assert cert["achieved"] == achieved
 
 
-def test_min_offzero_stable_under_M_doubling():
-    geom = _tube(6.0)
-    v1, _ = min_offzero_kappa(geom, M_max=2)
-    v2, _ = min_offzero_kappa(geom, M_max=4)
-    assert v1 == v2
+def test_min_offzero_far_wraparound_minimum():
+    # at D1 = 0.1 the smallest off-zero kappa sits far out along the twist:
+    # every |r|, |s| <= 16 has kappa >= 398
+    sched = DegenerationSchedule(D1=0.1, D2=0.1, R_grid=(3.0,))
+    geom = schedule_instantiate(sched, 0).with_r0(0.0)
+    achieved, cert = min_offzero_kappa(geom)
+    assert achieved == 174.29862220464287
+    assert tuple(cert["argmin_mode"]) in {(126, -1), (-126, 1)}
+    r, s = _box(16, 16)
+    assert kappa_value(r, s, 0.0, geom)[(r != 0) | (s != 0)].min() > 398.0
 
 
 def test_min_offzero_schedule_floor():
     # under the tight schedule the off-zero minimum clears (E1/D2 e^{r0})^2
     for R in (6.0, 8.0, 10.0):
         geom = _tube(R)
-        achieved, _ = min_offzero_kappa(geom, M_max=2)
+        achieved, _ = min_offzero_kappa(geom)
         assert achieved >= math.exp(2.0 * geom.r0)
 
 
 def test_min_offzero_rho_zero_minimizer():
     geom = TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=0.0, r0=0.2, R0=5.0)
-    achieved, cert = min_offzero_kappa(geom, 2)
+    achieved, cert = min_offzero_kappa(geom)
     assert tuple(cert["argmin_mode"]) in {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert achieved > 0.0
 
@@ -142,34 +195,24 @@ def _monotonicity_geometries():
 def test_kappa_nondecreasing_on_the_interval(geom):
     # min_offzero_kappa and the skip floors evaluate every mode at r0 only;
     # that is exact because no kappa_i decreases on [r0, R0]
-    modes = enumerate_modes(4)
-    r = np.array([[m.r] for m in modes])
-    s = np.array([[m.s] for m in modes])
+    r, s = _box(4, 4)
     u = np.linspace(geom.r0, geom.R0, 4001)
-    k = kappa_value(r, s, u, geom)
-    assert k.shape == (len(modes), u.size)
+    k = kappa_value(r[:, None], s[:, None], u, geom)
+    assert k.shape == (r.size, u.size)
     assert np.all(np.diff(k, axis=1) >= 0.0)
-    for M in (1, 2, 4):
-        achieved, _ = min_offzero_kappa(geom, M)
-        inside = [(abs(m.r) <= M and abs(m.s) <= M and not m.is_zero) for m in modes]
-        # both evaluate kappa_value, and u[0] is r0
-        assert achieved == k[np.asarray(inside)].min()
+    achieved, _ = min_offzero_kappa(geom)
+    # both evaluate kappa_value, and u[0] is r0
+    assert achieved == k[(r != 0) | (s != 0), 0].min()
 
 
 def test_min_offzero_returns_value_and_certificate():
-    result = min_offzero_kappa(_tube(6.0), 2)
+    result = min_offzero_kappa(_tube(6.0))
     assert isinstance(result, tuple) and len(result) == 2
     achieved, cert = result
     assert isinstance(achieved, float) and isinstance(cert, dict)
-    assert cert["achieved"] == achieved
-    assert set(cert) == {"M_max", "achieved", "argmin_mode", "ring_min", "outside_floor"}
+    assert cert == {"achieved": achieved, "argmin_mode": (-1, 0)}
     with pytest.raises(TypeError):
-        min_offzero_kappa(_tube(6.0), 2, with_certificate=True)
-
-
-def test_min_offzero_insufficient_lattice():
-    with pytest.raises(ValueError):
-        min_offzero_kappa(_tube(6.0), 0)
+        min_offzero_kappa(_tube(6.0), 2)
 
 
 def test_verify_identities_zero_mode_trivial():

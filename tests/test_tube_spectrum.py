@@ -145,8 +145,8 @@ def test_truncation_certificate_contents(spectrum6):
         cert["lambda_max"] + max(cert["C_beta"].values()))
     # the certificate is only valid when the outside floor clears the cutoff
     assert cert["outside_floor"] > cert["skip_cutoff"]
-    assert cert["ring_min"] >= cert["kappa_min_offzero"] - 1e-12
-    assert cert["M_max"] >= 1
+    assert set(cert) == {"kappa_min_offzero", "outside_floor", "skip_cutoff",
+                         "C_beta", "lambda_max"}
 
 
 def test_merged_matches_single_family_solve(tube6):
@@ -173,6 +173,10 @@ def test_request_validation(tube6):
         TubeSpectrumRequest(geometry=tube6, lambda_max=2.0, family="Abs3")
     with pytest.raises(ValueError, match="r0"):
         TubeSpectrumRequest(geometry=_tube(6.0), lambda_max=2.0)
+    with pytest.raises(ValueError, match="include_zero_mode"):
+        TubeSpectrumRequest(geometry=tube6, lambda_max=2.0, include_zero_mode="false")
+    with pytest.raises(ValueError, match="include_zero_mode"):
+        SweepOptions(include_zero_mode="false")
 
 
 def test_spectrum_container_requires_sorted_entries(spectrum6):
