@@ -27,7 +27,7 @@ from .dissection import berger_scaling, c_rho_from_partition, \
     cover_from_json, cover_to_json, dirac_bound, laplacian_bound
 from .discrete_hodge import s1_case_study
 from .geometry import DegenerationSchedule, schedule_from_json, schedule_to_json
-from .jsonio import check_fields, check_int, write_csv, write_json
+from .jsonio import check_fields, check_float, check_int, write_csv, write_json
 from .ode_compare import run_suite
 from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
     solve_fd, solve_shooting
@@ -153,8 +153,10 @@ def cmd_bound(args, config: dict):
     if isinstance(c_rho, dict):
         check_fields(c_rho, "C_rho", {"step", "rho", "periodic"}, ("step", "rho"))
         config = dict(config)
+        rho = [[check_float(x, "C_rho rho sample") for x in row]
+               for row in c_rho["rho"]]
         config["C_rho"] = c_rho_from_partition(
-            c_rho["rho"], float(c_rho["step"]),
+            rho, check_float(c_rho["step"], "C_rho step"),
             periodic=c_rho.get("periodic", False))
     cover = cover_from_json(config)
     ordered = bool(args.ordered)
@@ -177,7 +179,8 @@ def cmd_bound(args, config: dict):
 def cmd_s1_dissect(args, config: dict):
     check_fields(config, "config", {"n", "overlap_fraction"})
     report = s1_case_study(check_int(config.get("n", 64), "n"),
-                           float(config.get("overlap_fraction", 0.125)))
+                           check_float(config.get("overlap_fraction", 0.125),
+                                       "overlap_fraction"))
     return (report, ("set_index", "term"),
             list(enumerate(report["per_set_terms"])),
             EXIT_OK if report["valid"] else EXIT_VERIFY)
@@ -199,8 +202,8 @@ def cmd_compare_ode(args, config: dict):
 def cmd_berger_curve(args, config: dict):
     check_fields(config, "config", {"a", "b", "m", "epsilon_bound", "t_max",
                                     "t_step", "thresholds"})
-    t_step = float(config.get("t_step", 1.0))
-    t_max = float(config.get("t_max", 200.0))
+    t_step = check_float(config.get("t_step", 1.0), "t_step")
+    t_max = check_float(config.get("t_max", 200.0), "t_max")
     if not (t_step > 0 and t_max >= t_step):
         raise ValueError("need t_step > 0 and t_max >= t_step")
     n = t_max / t_step + 1e-9
@@ -209,12 +212,13 @@ def cmd_berger_curve(args, config: dict):
                          f"{MAX_T_GRID_POINTS}; raise t_step or lower t_max")
     t_grid = [i * t_step for i in range(int(n) + 1)]
     curve = berger_scaling(
-        a=float(config.get("a", 1.0)),
-        b=float(config.get("b", 1.0)),
+        a=check_float(config.get("a", 1.0), "a"),
+        b=check_float(config.get("b", 1.0), "b"),
         m=config.get("m", 2),
-        epsilon_bound=float(config.get("epsilon_bound", 0.1)),
+        epsilon_bound=check_float(config.get("epsilon_bound", 0.1), "epsilon_bound"),
         t_grid=t_grid,
-        thresholds=tuple(config.get("thresholds", (10.0,))),
+        thresholds=tuple(check_float(lam, "threshold")
+                         for lam in config.get("thresholds", (10.0,))),
     )
     return (curve.to_json(), ("t", "curve"),
             list(zip(curve.t_values, curve.curve)), EXIT_OK)

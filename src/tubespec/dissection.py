@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import check_bool, check_fields, check_int
+from .jsonio import check_bool, check_fields, check_float, check_int
 
 __all__ = [
     "CoverSpec",
@@ -67,14 +67,15 @@ class CoverSpec:
     h_triple: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        mu_set = tuple(float(m) for m in self.mu_set)
+        mu_set = tuple(check_float(m, "mu_set entry") for m in self.mu_set)
         if not mu_set:
             raise ValueError("cover needs at least one set")
-        if any(not (m > 0 and math.isfinite(m)) for m in mu_set):
+        if any(not m > 0 for m in mu_set):
             raise ValueError("every mu(U_i) must be positive and finite")
         K = len(mu_set) - 1
 
-        adjacency = tuple(tuple(int(j) for j in row) for row in self.adjacency)
+        adjacency = tuple(tuple(check_int(j, "adjacency index") for j in row)
+                          for row in self.adjacency)
         if len(adjacency) != len(mu_set):
             raise ValueError("adjacency must have one row per set")
         for i, row in enumerate(adjacency):
@@ -88,9 +89,10 @@ class CoverSpec:
                 if i not in adjacency[j]:
                     raise ValueError(f"adjacency not symmetric at ({i}, {j})")
 
-        mu_pair = {_pair_key(*k): float(v) for k, v in self.mu_pair.items()}
+        mu_pair = {_pair_key(*k): check_float(v, f"mu_pair {k}")
+                   for k, v in self.mu_pair.items()}
         for key, v in mu_pair.items():
-            if not (v > 0 and math.isfinite(v)):
+            if not v > 0:
                 raise ValueError(f"mu(U_{key}) must be positive and finite")
         pairs = {(i, j) for i, row in enumerate(adjacency) for j in row if i < j}
         missing = pairs - set(mu_pair)
@@ -114,8 +116,8 @@ class CoverSpec:
                     raise ValueError(
                         f"h_triple key {key} needs pairwise overlaps; ({a}, {b}) missing")
 
-        C = float(self.C_rho)
-        if not (C >= 0 and math.isfinite(C)):
+        C = check_float(self.C_rho, "C_rho")
+        if not C >= 0:
             raise ValueError("C_rho must be finite and >= 0")
 
         object.__setattr__(self, "mu_set", mu_set)

@@ -23,12 +23,11 @@ E1 e^{-R} <= rho <= E2 e^{-R} along an increasing grid of R values.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import check_fields
+from .jsonio import check_fields, check_float
 
 __all__ = [
     "TubeGeometry",
@@ -130,16 +129,12 @@ class DegenerationSchedule:
 
     def __post_init__(self):
         for name in ("D1", "D2", "E1", "E2"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_float(getattr(self, name), name))
         if not (0 < self.D1 <= self.D2):
             raise ValueError(f"need 0 < D1 <= D2, got D1={self.D1}, D2={self.D2}")
         if not (0 < self.E1 <= self.E2):
             raise ValueError(f"need 0 < E1 <= E2, got E1={self.E1}, E2={self.E2}")
-        grid = tuple(float(R) for R in self.R_grid)
+        grid = tuple(check_float(R, "R_grid entry") for R in self.R_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("R_grid must be strictly increasing")
         if any(R <= 0 for R in grid):

@@ -6,7 +6,8 @@ digits (round-trip exact for IEEE doubles), '.' decimal point regardless of
 locale, newline-terminated files.  Non-finite floats are rejected rather
 than serialized, since a NaN in a report is always a bug upstream.
 check_fields validates the keys of every JSON input document, check_int
-every integer read from one, and check_bool every boolean.
+every integer read from one, check_float every real number, and check_bool
+every boolean.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["canonical_json", "write_json", "write_csv", "format_float", "check_fields",
-           "check_int", "check_bool"]
+           "check_int", "check_float", "check_bool"]
 
 
 def check_fields(doc, what: str, allowed=None, required=()):
@@ -50,6 +52,23 @@ def check_int(value, what: str) -> int:
             and float(value).is_integer()):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def check_float(value, what: str) -> float:
+    """Return value as a float if it is a finite real number.
+
+    Raises ValueError naming `what` for a bool, a string such as "3.14", a
+    non-finite or out-of-range number, or any other value, instead of
+    reading it as float() would.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def check_bool(value, what: str) -> bool:

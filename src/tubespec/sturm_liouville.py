@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from .jsonio import check_fields
+from .jsonio import check_fields, check_float
 
 __all__ = [
     "BoundaryCondition",
@@ -158,9 +158,9 @@ class SpectrumResult:
 def _check_window(window):
     if len(window) != 2:
         raise ValueError(f"window must be a pair (lo, hi), got {window}")
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"window must be finite with lo < hi, got {window}")
+    lo, hi = check_float(window[0], "window lo"), check_float(window[1], "window hi")
+    if not lo < hi:
+        raise ValueError(f"window must have lo < hi, got {window}")
     return lo, hi
 
 
@@ -629,11 +629,11 @@ def potential_from_json(spec: dict):
     kind = check_fields(spec, "potential", required=("type",))["type"]
     if kind == "constant":
         check_fields(spec, "constant potential", {"type", "value"}, ("value",))
-        v = float(spec["value"])
+        v = check_float(spec["value"], "constant potential value")
         return lambda u: v * np.ones_like(np.asarray(u, dtype=float))
     if kind == "poly":
         check_fields(spec, "poly potential", {"type", "coeffs"}, ("coeffs",))
-        coeffs = [float(c) for c in spec["coeffs"]]
+        coeffs = [check_float(c, "poly coefficient") for c in spec["coeffs"]]
         if not coeffs:
             raise ValueError("poly potential needs at least one coefficient")
         return lambda u: np.polynomial.polynomial.polyval(
@@ -641,12 +641,12 @@ def potential_from_json(spec: dict):
     if kind == "fourier":
         check_fields(spec, "fourier potential",
                      {"type", "period", "a0", "cos", "sin"}, ("period",))
-        period = float(spec["period"])
+        period = check_float(spec["period"], "fourier period")
         if period <= 0:
             raise ValueError("fourier period must be positive")
-        a0 = float(spec.get("a0", 0.0))
-        cos_c = [float(c) for c in spec.get("cos", [])]
-        sin_c = [float(c) for c in spec.get("sin", [])]
+        a0 = check_float(spec.get("a0", 0.0), "fourier a0")
+        cos_c = [check_float(c, "fourier cos coefficient") for c in spec.get("cos", [])]
+        sin_c = [check_float(c, "fourier sin coefficient") for c in spec.get("sin", [])]
 
         def q(u):
             u = np.asarray(u, dtype=float)
@@ -668,7 +668,7 @@ def _bc_from_json(spec: dict) -> BoundaryCondition:
         return BoundaryCondition.dirichlet()
     if kind == "robin":
         check_fields(spec, "robin bc", {"kind", "beta"}, ("beta",))
-        return BoundaryCondition.robin(float(spec["beta"]))
+        return BoundaryCondition.robin(check_float(spec["beta"], "robin beta"))
     raise ValueError(f"unknown boundary condition kind {kind!r}")
 
 
@@ -685,8 +685,8 @@ def problem_from_json(spec: dict) -> SLProblem:
     check_fields(spec, "problem", _PROBLEM_FIELDS, _PROBLEM_FIELDS)
     return SLProblem(
         q=potential_from_json(spec["q"]),
-        m0=float(spec["m0"]),
-        m1=float(spec["m1"]),
+        m0=check_float(spec["m0"], "problem m0"),
+        m1=check_float(spec["m1"], "problem m1"),
         bc_left=_bc_from_json(spec["bc_left"]),
         bc_right=_bc_from_json(spec["bc_right"]),
         q_json=dict(spec["q"]),

@@ -156,13 +156,21 @@ def min_offzero_kappa(geometry: TubeGeometry):
 
     Returns (minimum, {"achieved", "argmin_mode"}).  Each mode's infimum
     over [r0, R0] is its value at r0 (module docstring).  The minimum is at
-    most min(kappa(0, 1), kappa(1, 0)) (s = 0 is the s nearest -rho/(2 pi),
-    as 0 <= rho < pi), so it is the smallest off-zero value that
-    modes_below returns at that bound; the argmin is the first minimizer in
-    lexicographic order.
+    most the kappa of any off-zero mode: (0, 1), (1, 0) (s = 0 is the s
+    nearest -rho/(2 pi), as 0 <= rho < pi), and, for rho > 0, the modes
+    (r_w + d, -1) with d in {-1, 0, 1} and r_w = round(2 pi / rho), where
+    the twist first wraps w = 2 pi s + r rho back to near 0.  So it is the
+    smallest off-zero value that modes_below returns at the least of those;
+    the argmin is the first minimizer in lexicographic order.
     """
     r0 = geometry.require_r0()
-    bound = float(kappa_value([0, 1], [1, 0], r0, geometry).min())
+    r, s = [0, 1], [1, 0]
+    # r stays exact in kappa_value's float arithmetic only up to 2^52
+    if geometry.rho > 0.0 and 2.0 * math.pi / geometry.rho < 2.0 ** 52:
+        r_w = round(2.0 * math.pi / geometry.rho)
+        r += [r_w - 1, r_w, r_w + 1]
+        s += [-1, -1, -1]
+    bound = float(kappa_value(r, s, r0, geometry).min())
     modes, _ = modes_below(geometry, bound)
     modes = [m for m in modes if not m.is_zero]
     per_mode = kappa_value([m.r for m in modes], [m.s for m in modes], r0, geometry)

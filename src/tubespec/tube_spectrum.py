@@ -20,13 +20,12 @@ out is skippable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DegenerationSchedule, TubeGeometry, WarpedProfile, schedule_instantiate
-from .jsonio import check_bool
+from .jsonio import check_bool, check_float
 from .sturm_liouville import (
     BoundaryCondition,
     SLProblem,
@@ -72,11 +71,11 @@ class _WindowOptions:
     requests and sweeps."""
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_max", float(self.lambda_max))
+        object.__setattr__(self, "lambda_max", check_float(self.lambda_max, "lambda_max"))
         object.__setattr__(self, "include_zero_mode",
                            check_bool(self.include_zero_mode, "include_zero_mode"))
-        if not (self.lambda_max > 0 and math.isfinite(self.lambda_max)):
-            raise ValueError("lambda_max must be positive and finite")
+        if not self.lambda_max > 0:
+            raise ValueError("lambda_max must be positive")
         if self.family not in ("Abs1", "Abs2", "Both"):
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -251,9 +250,7 @@ class SweepOptions(_WindowOptions):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "threshold", float(self.threshold))
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
+        object.__setattr__(self, "threshold", check_float(self.threshold, "threshold"))
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def test_criterion_5_comparison_suites():
     assert all(c["no_zero"] for c in a2["cases"])
 
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0
+    assert elapsed < 5.0
     print(f"criterion 5 PASS: A.1 20/20 and A.2 10/10, worst margins "
           f"{a1['worst_riccati_margin']:.2e} / "
           f"{a2['worst_growth_margin']:.2e}, {elapsed:.2f}s")

@@ -8,7 +8,7 @@ import pytest
 
 import tubespec.cli as cli
 from tubespec.cli import main
-from tubespec.jsonio import check_bool, check_int
+from tubespec.jsonio import check_bool, check_float, check_int
 
 SL_CONFIG = {
     "problem": {
@@ -357,6 +357,103 @@ def test_check_bool_accepts_booleans_only():
     for bad in ("false", "true", "no", 0, 1, 0.0, None, []):
         with pytest.raises(ValueError, match="flag must be true or false"):
             check_bool(bad, "flag")
+
+
+def test_check_float_accepts_finite_numbers_only():
+    got = [check_float(v, "x") for v in (3, -2.5, np.int64(5), np.float64(0.25))]
+    assert got == [3.0, -2.5, 5.0, 0.25]
+    assert all(type(v) is float for v in got)
+    for bad in (True, False, np.bool_(True), "3.14", None, [1.0], {},
+                math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            check_float(bad, "x")
+
+
+def _nested(base, path, value):
+    doc = json.loads(json.dumps(base))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+_PARTITION = {"step": 0.5, "rho": [[0.0, 0.5, 1.0], [1.0, 0.5, 0.0]]}
+
+
+_NOT_NUMBERS = [
+    ("sl-solve", SL_CONFIG, ("problem", "m1"), True),
+    ("sl-solve", SL_CONFIG, ("problem", "m1"), "3.14"),
+    ("sl-solve", SL_CONFIG, ("problem", "m0"), False),
+    ("sl-solve", SL_CONFIG, ("problem", "q", "value"), True),
+    ("sl-solve", SL_CONFIG, ("problem", "q"), {"type": "poly", "coeffs": ["1"]}),
+    ("sl-solve", SL_CONFIG, ("problem", "q"),
+     {"type": "fourier", "period": True, "cos": [1.0]}),
+    ("sl-solve", SL_CONFIG, ("problem", "q"),
+     {"type": "fourier", "period": 2.0, "sin": [True]}),
+    ("sl-solve", SL_CONFIG, ("problem", "bc_left"), {"kind": "robin", "beta": True}),
+    ("sl-solve", SL_CONFIG, ("window",), [True, 30.0]),
+    ("bound", BOUND_CONFIG, ("mu_pair", "0-1"), True),
+    ("bound", {**BOUND_CONFIG, "C_rho": _PARTITION}, ("C_rho", "step"), True),
+    ("bound", {**BOUND_CONFIG, "C_rho": _PARTITION}, ("C_rho", "rho"),
+     [[True, "0.5", 0.0], [False, 0.5, 1.0]]),
+    ("bound", BOUND_CONFIG, ("adjacency",), [[True], [False]]),
+    ("bound", BOUND_CONFIG, ("mu_set",), [True, 1.0]),
+    ("bound", BOUND_CONFIG, ("C_rho",), "1.0"),
+    ("tube-sweep", {"R_grid": [6.0]}, ("R_grid",), [True]),
+    ("tube-sweep", {"R_grid": [6.0]}, ("lambda_max",), True),
+    ("tube-sweep", {"R_grid": [6.0]}, ("threshold",), "5"),
+    ("s1-dissect", {}, ("overlap_fraction",), "0.125"),
+    ("s1-dissect", {}, ("overlap_fraction",), True),
+    ("berger-curve", {}, ("a",), True),
+    ("berger-curve", {}, ("b",), "1"),
+    ("berger-curve", {}, ("epsilon_bound",), True),
+    ("berger-curve", {}, ("t_step",), True),
+    ("berger-curve", {}, ("t_max",), "20"),
+    ("berger-curve", {}, ("thresholds",), [True]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value", _NOT_NUMBERS,
+    ids=[f"{c}:{'.'.join(p)}={json.dumps(v, separators=(',', ':'))}"
+         for c, _, p, v in _NOT_NUMBERS])
+def test_booleans_and_strings_are_not_read_as_numbers(command, base, path, value,
+                                                      tmp_path, capsys):
+    cfg = _write_config(tmp_path, _nested(base, path, value))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be a finite number" in err or "must be an integer" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, as_int", [
+    ("sl-solve", {**SL_CONFIG, "window": [0, 30],
+                  "problem": {**SL_CONFIG["problem"], "m0": 0, "m1": 3,
+                              "q": {"type": "poly", "coeffs": [1, 0, 2]},
+                              "bc_left": {"kind": "robin", "beta": 1}}}),
+    ("bound", {"mu_set": [1, 2], "adjacency": [[1], [0]], "mu_pair": {"0-1": 3},
+               "C_rho": {"step": 1, "rho": [[0, 1, 1], [1, 0, 0]]}}),
+    ("berger-curve", {"a": 1, "b": 2, "epsilon_bound": 1, "t_step": 1, "t_max": 20,
+                      "thresholds": [10]}),
+])
+def test_integer_inputs_write_the_bytes_of_their_floats(command, as_int, tmp_path):
+    def floated(doc):
+        if isinstance(doc, dict):
+            return {k: floated(v) for k, v in doc.items()}
+        if isinstance(doc, list):
+            return [floated(v) for v in doc]
+        return float(doc) if isinstance(doc, int) and not isinstance(doc, bool) else doc
+
+    stem = command.replace("-", "_")
+    written = []
+    for i, doc in enumerate((as_int, floated(as_int))):
+        cfg = _write_config(tmp_path, doc, f"config{i}.json")
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        written.append([(out / f"{stem}.{ext}").read_bytes() for ext in ("json", "csv")])
+    assert written[0] == written[1]
 
 
 def test_integral_float_input_is_read_as_that_integer(tmp_path):

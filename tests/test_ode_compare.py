@@ -105,8 +105,13 @@ def test_step_instability_is_reported():
     # 16 RK4 steps across 60 oscillations cannot hold 1e-7
     wobble = ComparisonCase(q=lambda u: 25.0 + 10.0 * math.sin(40.0 * u),
                             k=1.0, alpha=0.0, m0=0.0, m1=10.0, step=10.0 / 16.0)
-    with pytest.raises(RuntimeError, match="step instability"):
-        integrate_pair(wobble, "RobinStart")
+    for mode in MODES:
+        with pytest.raises(RuntimeError, match="step instability") as got:
+            integrate_pair(wobble, mode)
+        # the same text as the per-stage callback reference (further below)
+        with pytest.raises(RuntimeError) as want:
+            _reference_pair(wobble, mode)
+        assert str(got.value) == str(want.value)
 
 
 def test_case_validation():
@@ -201,3 +206,105 @@ def test_a1_suite_integrates_each_case_once(monkeypatch):
     report = a1_suite_report(count=3)
     assert calls == ["RobinStart"] * 3
     assert report["all_passed"]
+
+
+def _callback_rk4(f, y0, m0: float, m1: float, n: int):
+    """Fixed-step RK4 for y' = f(u, y), y a pair; both components as arrays."""
+    h = (m1 - m0) / n
+    a, b = y0
+    out = [(a, b)]
+    u = m0
+    for i in range(n):
+        k1a, k1b = f(u, a, b)
+        k2a, k2b = f(u + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+        k3a, k3b = f(u + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+        u2 = m0 + (i + 1) * h
+        k4a, k4b = f(u2, a + h * k3a, b + h * k3b)
+        a += h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
+        b += h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0
+        u = u2
+        out.append((a, b))
+    return np.array(out).T
+
+
+def _reference_pair(case, mode):
+    """integrate_pair's arrays and diagnostics from the per-stage callback RK4."""
+    y0 = (1.0, -case.alpha) if mode == "RobinStart" else (0.0, 1.0)
+    q, ksq = case.q, case.k**2
+
+    def f_a(u, a, b):
+        return (b, q(u) * a)
+
+    def f_v(u, v, w):
+        return (w, ksq * v)
+
+    n = max(16, int(math.ceil((case.m1 - case.m0) / case.step)))
+    coarse_a = _callback_rk4(f_a, y0, case.m0, case.m1, n)
+    coarse_v = _callback_rk4(f_v, y0, case.m0, case.m1, n)
+    fine_a = _callback_rk4(f_a, y0, case.m0, case.m1, 2 * n)[:, ::2]
+    fine_v = _callback_rk4(f_v, y0, case.m0, case.m1, 2 * n)[:, ::2]
+    a, ap = fine_a
+    v, vp = fine_v
+    u = np.linspace(case.m0, case.m1, n + 1)
+    scale_a = max(1.0, float(np.max(np.abs(a))))
+    scale_v = max(1.0, float(np.max(np.abs(v))))
+    err_a = float(np.max(np.abs(coarse_a - fine_a)))
+    err_v = float(np.max(np.abs(coarse_v - fine_v)))
+    if err_a > 1e-7 * scale_a or err_v > 1e-7 * scale_v:
+        raise RuntimeError(
+            f"step instability: halving moved a by {err_a:.3e} (scale {scale_a:.3e}), "
+            f"v by {err_v:.3e} (scale {scale_v:.3e}); reduce step={case.step}")
+    t = u - case.m0
+    v_exact = y0[0] * np.cosh(case.k * t) + y0[1] / case.k * np.sinh(case.k * t)
+    vp_exact = case.k * (y0[0] * np.sinh(case.k * t)
+                         + y0[1] / case.k * np.cosh(case.k * t))
+    dev = max(float(np.max(np.abs(v - v_exact))) / scale_v,
+              float(np.max(np.abs(vp - vp_exact))) / max(scale_v, case.k * scale_v))
+    return {"u": u, "a": a, "a_prime": ap, "v": v, "v_prime": vp,
+            "a_error": err_a, "v_error": err_v, "v_closed_form_deviation": dev}
+
+
+def _wavy_case(rng, m0, cells, ragged):
+    k = float(rng.uniform(0.5, 3.0))
+    amp, omega, phase = (float(x) for x in rng.uniform([0.1, 0.5, 0.0],
+                                                       [1.0, 3.0, 6.0]))
+    m1 = m0 + float(rng.uniform(1.0, 8.0)) / k
+    # a ragged step leaves a partial cell that ceil rounds up to a whole one
+    step = (m1 - m0) / (cells - 0.37) if ragged else (m1 - m0) / cells
+    return ComparisonCase(
+        q=lambda u: k * k + amp * (1.5 + math.sin(omega * u + phase)),
+        k=k, alpha=float(k * rng.uniform(-0.5, 1.0)), m0=m0, m1=m1, step=step)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_integrate_pair_matches_callback_rk4_bit_for_bit(mode):
+    rng = np.random.default_rng(2024)
+    cases = [_wavy_case(rng, m0, cells, ragged)
+             for m0 in (0.0, -0.0, 1.7, -2.3)
+             for cells, ragged in ((400, False), (999, True), (3000, False))]
+    cases.append(_const_case(4.0, 2.0, m0=-0.0, relaxed=True))
+    for case in cases:
+        got = integrate_pair(case, mode)
+        for name, want in _reference_pair(case, mode).items():
+            value = getattr(got, name)
+            assert np.array_equal(value, want), (case, name)
+            assert np.array_equal(np.signbit(value), np.signbit(want)), (case, name)
+
+
+@pytest.mark.parametrize("cells", [64, 257, 2048])
+def test_integrate_pair_samples_q_at_most_once_per_node_and_midpoint(cells):
+    # 2n + 1 fine nodes, 2n fine midpoints and n coarse midpoints; the
+    # coarse nodes are the even fine nodes.  Four calls per RK4 step on the
+    # coarse and fine runs would make 12n.
+    calls = []
+
+    def q(u):
+        calls.append(u)
+        return 5.0 + math.sin(u)
+
+    case = ComparisonCase(q=q, k=2.0, alpha=0.0, m0=0.0, m1=1.0,
+                          step=1.0 / cells)
+    for mode in MODES:
+        calls.clear()
+        integrate_pair(case, mode)
+        assert 0 < len(calls) <= 5 * cells + 1

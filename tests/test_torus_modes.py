@@ -163,6 +163,28 @@ def test_min_offzero_far_wraparound_minimum():
     assert kappa_value(r, s, 0.0, geom)[(r != 0) | (s != 0)].min() > 398.0
 
 
+@pytest.mark.parametrize("R,r0", [(2.0, 0.0), (6.0, 1.5)])
+def test_min_offzero_seeded_past_the_wraparound(R, r0):
+    # at (D1, E1) = (0.01, 3) min(kappa(0, 1), kappa(1, 0)) is so large that
+    # modes_below refuses on the candidate cap; the modes where the twist
+    # wraps (r near 2 pi / rho, s = -1) bring the seed down to the minimum
+    sched = DegenerationSchedule(D1=0.01, D2=0.01, E1=3.0, E2=3.0, R_grid=(R,))
+    geom = schedule_instantiate(sched, 0).with_r0(r0)
+    achieved, cert = min_offzero_kappa(geom)
+    # every mode with kappa(r0) <= achieved has |r| <= h0 sqrt(achieved) and
+    # |2 pi s| <= |r| rho + epsilon f0 sqrt(achieved)
+    x0 = R - r0
+    r_max = math.ceil(math.sinh(x0) * math.sqrt(achieved))
+    s_max = math.ceil((r_max * geom.rho
+                       + geom.epsilon * math.cosh(x0) * math.sqrt(achieved))
+                      / (2.0 * math.pi))
+    r, s = _box(r_max, s_max)
+    kappa = kappa_value(r, s, r0, geom)
+    offzero = (r != 0) | (s != 0)
+    assert achieved == kappa[offzero].min()
+    assert kappa_value(*cert["argmin_mode"], r0, geom) == achieved
+
+
 def test_min_offzero_schedule_floor():
     # under the tight schedule the off-zero minimum clears (E1/D2 e^{r0})^2
     for R in (6.0, 8.0, 10.0):
