@@ -22,9 +22,12 @@ finds, and the window count still comes from the right-end phase alone.
 The piecewise-frozen propagation replaces naive Runge-Kutta stepping of the
 phase ODE: the tube potentials reach ~1e8 where any explicit stepper needs
 absurd step counts, while the frozen-cell transfer is exact per cell and
-second order in the cell width overall.  Both methods report per-eigenvalue
-error estimates from mesh doubling so that results can be cross-checked
-within combined error bars.
+second order in the cell width overall.  The phase across a mesh is a
+reduction of exact cell maps: each cell is its 2x2 transfer matrix with one
+lifted phase, pairs of maps compose into one, and a mesh of n cells costs
+O(n) numpy work with no Python loop over cells.  Both methods report
+per-eigenvalue error estimates from mesh doubling so that results can be
+cross-checked within combined error bars.
 """
 
 from __future__ import annotations
@@ -155,6 +158,13 @@ class SpectrumResult:
         }
 
 
+def _check_phase_tol(phase_tol) -> float:
+    tol = check_float(phase_tol, "phase_tol")
+    if not tol > 0.0:
+        raise ValueError(f"phase_tol must be positive, got {phase_tol!r}")
+    return tol
+
+
 def _check_window(window):
     if len(window) != 2:
         raise ValueError(f"window must be a pair (lo, hi), got {window}")
@@ -268,53 +278,94 @@ def _theta_target(problem: SLProblem) -> float:
     return math.pi if not bc.is_robin else math.atan2(1.0, bc.beta)
 
 
-# cells per numpy batch in the phase loop: the per-cell inputs are computed
-# with numpy a chunk at a time, so a long mesh never holds full-length
+# Cell maps.  A run of cells acts on the phase as a node (M, det, L): M is
+# the run's exact 2x2 transfer on (a, a'), up to a positive factor, det is
+# the determinant of that M, and L is the lifted phase the run returns for
+# entry phase 0.  The lift of an exact linear flow is increasing and
+# commutes with +pi, so L fixes it at every entry phase (see _apply), and
+# composing two nodes is one matrix product plus one application.
+
+
+def _cell_nodes(c, h: float):
+    """(M, det, L) of the cells of width h with lambda - q frozen at c; M has
+    shape (2, 2, len(c)).
+
+    For c > 0 (oscillatory) M is [[cos x, sin x/om], [-om sin x, cos x]]
+    with x = om h and det 1, and L is within pi/2 of the modified phase x,
+    which fixes its lift.  For c < 0 (forbidden) the cosh/sinh transfer is
+    scaled by exp(-x); its det is exp(-2x), and expm1 keeps 1 - exp(-2x)
+    accurate when x is tiny.  For c = 0 both reduce to the shear
+    [[1, h], [0, 1]].
+    """
+    om = np.sqrt(np.abs(c))
+    x = om * h
+    osc = c > 0.0
+    em = -np.expm1(-2.0 * x)                         # 1 - exp(-2x)
+    diag = np.where(osc, np.cos(x), 1.0 - 0.5 * em)
+    s = np.where(osc, np.sin(x), 0.5 * em)           # sin x, or exp(-x) sinh x
+    upper = np.divide(s, om, out=np.full_like(x, h), where=om > 0.0)
+    L = np.arctan2(upper, diag)
+    L = np.where(osc, L + 2.0 * math.pi * np.round((x - L) / (2.0 * math.pi)), L)
+    M = np.array([[diag, upper], [np.where(osc, -om, om) * s, diag]])
+    return M, np.exp(np.where(osc, 0.0, -2.0 * x)), L
+
+
+def _apply(M, det, L, x):
+    """Phase out of the node(s) (M, det, L) entered at phase x.
+
+    With x = k pi + t, t in [0, pi], the exit phase is L + k pi + d, where d
+    in [0, pi] is the angle from u = M (0, 1) to w = M (sin t, cos t).
+    Vector angles, not line angles, keep the steps of stiff cells.  The
+    cross product of u and w is det sin t: from det it keeps its sign and
+    its relative accuracy where M is nearly of rank one and w is small.
+    """
+    k = np.floor(x / math.pi)
+    # rounding can put t a few ulps outside [0, pi]: below 0 it only moves
+    # d by as much, but past pi it would turn d into -pi
+    t = np.minimum(x - k * math.pi, math.pi)
+    st, ct = np.sin(t), np.cos(t)
+    wa = M[0, 0] * st + M[0, 1] * ct
+    wb = M[1, 0] * st + M[1, 1] * ct
+    d = np.arctan2(det * st, M[0, 1] * wa + M[1, 1] * wb)
+    return L + k * math.pi + d
+
+
+def _reduce(M, det, L):
+    """The one node of a run of nodes, composed pairwise: O(len(L)) work."""
+    while L.size > 1:
+        m = L.size - L.size % 2
+        A, B = M[:, :, 0:m:2], M[:, :, 1:m:2]
+        P = B[:, :1] * A[:1] + B[:, 1:] * A[1:]
+        # a power of two per product puts its largest entry in [1/2, 1), so
+        # nothing overflows and nothing is rounded
+        e = np.frexp(np.abs(P).max(axis=(0, 1)))[1]
+        P = np.ldexp(P, -e)
+        # det becomes the determinant of the rounded P wherever that loses
+        # at most three bits to cancellation: a mesh of identical cells
+        # would otherwise pile up the same rounding of M against an exact det
+        own = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
+        dP = np.where(own >= 0.125, own,
+                      np.ldexp(det[0:m:2] * det[1:m:2], -2 * e))
+        LP = _apply(B, det[1:m:2], L[1:m:2], L[0:m:2])
+        if m < L.size:
+            P = np.concatenate([P, M[:, :, m:]], axis=2)
+            dP, LP = np.append(dP, det[m]), np.append(LP, L[m])
+        M, det, L = P, dP, LP
+    return M[:, :, 0], det[0], L[0]
+
+
+# cells per chunk: the cell maps of a chunk are reduced to one node that
+# then advances the phase, so a long mesh never holds full-length
 # temporaries next to its cached midpoint samples
-_CHUNK = 4096
+_CHUNK = 16384
 
 
 def _advance(theta: float, qbar_cells, lam: float, h: float) -> float:
     """Phase after the cells of width h whose frozen q values are qbar_cells,
-    entered at phase theta.
-
-    Each cell with lambda - q frozen at c advances the phase exactly.  For
-    c > 0 (oscillatory) the modified phase atan2(om a, a') grows by om h,
-    which stays stable down to om -> 0 where it degrades to the linear map.
-    For c < 0 (forbidden) the cosh/sinh transfer is scaled by exp(-om h), so
-    nothing overflows, and expm1 keeps 1 - exp(-2 om h) accurate when om h
-    is tiny.
-    """
-    pi = math.pi
-    sin, cos, atan2, floor = math.sin, math.cos, math.atan2, math.floor
+    entered at phase theta: a pairwise reduction of the exact cell maps."""
     for start in range(0, len(qbar_cells), _CHUNK):
-        c = lam - qbar_cells[start:start + _CHUNK]
-        om = np.sqrt(np.abs(c))
-        em = -np.expm1(-2.0 * om * h)                # 1 - exp(-2 om h)
-        for ci, omi, emi in zip(c.tolist(), om.tolist(), em.tolist()):
-            if ci > 0.0:
-                k = round(theta / pi)
-                delta = theta - k * pi
-                psi = atan2(omi * sin(delta), cos(delta)) + omi * h
-                j = round(psi / pi)
-                delta = psi - j * pi
-                theta = (k + j) * pi + atan2(sin(delta), omi * cos(delta))
-                continue
-            n_in = floor(theta / pi)
-            delta = theta - n_in * pi
-            a, b = sin(delta), cos(delta)
-            if ci == 0.0:
-                a2, b2 = a + h * b, b
-            else:
-                E = 1.0 - emi
-                a2 = 0.5 * ((1.0 + E) * a + emi / omi * b)
-                b2 = 0.5 * (omi * emi * a + (1.0 + E) * b)
-            if a2 > 0.0:
-                theta = n_in * pi + atan2(a2, b2)
-            elif a2 == 0.0:
-                theta = (n_in + 1) * pi
-            else:
-                theta = (n_in + 1) * pi + atan2(-a2, -b2)
+        node = _reduce(*_cell_nodes(lam - qbar_cells[start:start + _CHUNK], h))
+        theta = float(_apply(*node, theta))
     return theta
 
 
@@ -372,9 +423,10 @@ _N_MAX = 1 << 18
 
 
 def _converged_mesh(theta_at, probes, tol=_PHASE_TOL) -> int:
-    """Smallest n (doubling from 64) with stable phases at all probe lambdas."""
-    n = _N_START
-    while True:
+    """Smallest n (doubling from 64) with stable phases at all probe lambdas
+    on meshes n and 2n; no mesh above _N_MAX is evaluated."""
+    n, worst = _N_START, math.inf
+    while 2 * n <= _N_MAX:
         worst = 0.0
         for lam in probes:
             t1 = theta_at(lam, n)
@@ -382,11 +434,10 @@ def _converged_mesh(theta_at, probes, tol=_PHASE_TOL) -> int:
             worst = max(worst, abs(t2 - t1) / max(1.0, abs(t2)))
         if worst < tol:
             return n
-        if 2 * n > _N_MAX:
-            raise RuntimeError(
-                f"integrator step failure: phase residual {worst:.3e} at "
-                f"n={2*n} still above {tol}")
         n *= 2
+    raise RuntimeError(
+        f"integrator step failure: phase residual {worst:.3e} at n={n} "
+        f"still above {tol}")
 
 
 _SNAP_TOL = 1e-12
@@ -473,6 +524,7 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     change the cost of a solve but not its result.
     """
     lo, hi = _check_window(window)
+    phase_tol = _check_phase_tol(phase_tol)
     theta_at, matched = _phase_engine(problem)
     target = _theta_target(problem)
     n = _converged_mesh(theta_at, (lo, hi), tol=phase_tol)
@@ -542,6 +594,10 @@ def count_below(problem: SLProblem, lambda_star: float) -> int:
 
     c1, c2 = count_at(n), count_at(2 * n)
     if c1 != c2:
+        if 4 * n > _N_MAX:
+            raise RuntimeError(
+                f"phase-count mismatch: counts {c1}, {c2} on meshes {n} and "
+                f"{2*n}, and mesh {4*n} is above the limit of {_N_MAX}")
         c3 = count_at(4 * n)
         if c3 != c2:
             raise RuntimeError(
@@ -580,6 +636,7 @@ def solve_cross_validated(problem: SLProblem, window, grid_n: int = 256,
 
     FD runs first and seeds the shooting root brackets; see cross_check.
     """
+    phase_tol = _check_phase_tol(phase_tol)
     fd = solve_fd(problem, grid_n, window)
     sh = solve_shooting(problem, window, phase_tol=phase_tol, fd_seeds=fd)
     return cross_check(fd, sh, window)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,7 +420,7 @@ def test_potential_errors_reach_the_caller_unchanged():
 
 
 def _reference_advance_phase(theta, c, h):
-    """Scalar one-cell phase update, the loop the phase engine batches."""
+    """Scalar one-cell phase update, the per-cell loop the engine replaced."""
     if c > 0.0:
         om = math.sqrt(c)
         k = round(theta / math.pi)
@@ -446,47 +447,189 @@ def _reference_advance_phase(theta, c, h):
     return (n_in + 1) * math.pi + math.atan2(-a2, -b2)
 
 
+def _mp_advance(theta, qbar_cells, lam, h):
+    """Lifted phase after the frozen cells, from their exact transfer maps
+    on (a, a') carried in 40-digit arithmetic.
+
+    Each step turns (a, a') by less than pi either way: an oscillatory cell
+    is split until its modified phase turns by less than pi/4, and a
+    forbidden or flat cell never turns by pi.  So the angle between the
+    vectors before and after a step is the step's phase increment.
+    """
+    with mpmath.workdps(40):
+        h, theta = mpmath.mpf(h), mpmath.mpf(theta)
+        a, b = mpmath.sin(theta), mpmath.cos(theta)
+        for qc in qbar_cells:
+            c = mpmath.mpf(lam) - mpmath.mpf(qc)
+            om = mpmath.sqrt(abs(c))
+            pieces = int(om * h / (mpmath.pi / 4)) + 1 if c > 0 else 1
+            x = om * h / pieces
+            if c > 0:
+                cs, sn = mpmath.cos(x), mpmath.sin(x)
+                m = (cs, sn / om, -om * sn, cs)
+            elif c < 0:
+                cs, sn = mpmath.cosh(x), mpmath.sinh(x)
+                m = (cs, sn / om, om * sn, cs)
+            else:
+                m = (1, h, 0, 1)
+            for _ in range(pieces):
+                a2, b2 = m[0] * a + m[1] * b, m[2] * a + m[3] * b
+                theta += mpmath.atan2(a2 * b - b2 * a, a2 * a + b2 * b)
+                r = mpmath.sqrt(a2 * a2 + b2 * b2)
+                a, b = a2 / r, b2 / r
+        return theta
+
+
+def _mp_phases(p, lam, n):
+    """(theta, matched) of the engine's mesh n, from _mp_advance."""
+    import tubespec.sturm_liouville as sl
+    h = p.length / n
+    qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5))
+    k = int(np.argmin(qbar))
+    bc = p.bc_right
+    mirror0 = math.atan2(1.0, -bc.beta) if bc.is_robin else 0.0
+    theta0 = sl._theta_start(p)
+    return (_mp_advance(theta0, qbar.tolist(), lam, h),
+            _mp_advance(theta0, qbar[:k].tolist(), lam, h)
+            + _mp_advance(mirror0, qbar[k:][::-1].tolist(), lam, h))
+
+
+def _assert_close_to(got, want, tol=1e-13):
+    assert abs(got - want) <= tol * max(1.0, abs(want)), (got, float(want))
+
+
 @pytest.mark.parametrize("lam", [2.0, 40.0, -30.0])
-def test_phase_engine_matches_scalar_loop(lam):
+def test_phase_engine_matches_mpmath_transfer_maps(lam):
     import tubespec.sturm_liouville as sl
     # q crosses lam = 2 on a plateau where lam - q is exactly 0, so all
-    # three branches run; n spans more than one numpy chunk
+    # three kinds of cell occur; the per-cell loop the engine replaced was
+    # off by 2e-12 at lam = 2, where its 1/om amplified rounding
     p = SLProblem(q=lambda u: np.clip(8.0 * u - 4.0, -1.0, 2.0) * (u < 0.9)
                   + 50.0 * (u >= 0.9),
                   m0=0.0, m1=1.0, bc_left=BoundaryCondition.robin(0.3),
                   bc_right=DIR)
     n = 5000
     h = p.length / n
-    theta = sl._theta_start(p)
-    for qc in p.q_values(p.m0 + h * (np.arange(n) + 0.5)).tolist():
-        theta = _reference_advance_phase(theta, lam - qc, h)
-    got = sl._phase_engine(p)[0](lam, n)
-    # the engine's numpy expm1 may differ from math.expm1 in the last bit
-    assert abs(got - theta) <= 1e-12 * max(1.0, abs(theta))
+    qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5))
+    want = _mp_advance(sl._theta_start(p), qbar.tolist(), lam, h)
+    _assert_close_to(sl._phase_engine(p)[0](lam, n), want)
+
+
+@pytest.mark.parametrize("lam", [30.0, 49.0, 80.0])
+def test_identical_cells_advance_like_one_exact_cell(lam):
+    import tubespec.sturm_liouville as sl
+    # with q constant every cell map is the same, so a rounding repeated per
+    # cell would grow with the mesh; one cell spanning the interval is the
+    # exact transfer
+    p = SLProblem(q=lambda u: 0.0 * u + 50.0, m0=0.0, m1=1.0,
+                  bc_left=BoundaryCondition.robin(0.3), bc_right=DIR)
+    want = _mp_advance(sl._theta_start(p), [50.0], lam, 1.0)
+    theta, _ = sl._phase_engine(p)
+    for n in (1024, 65536):
+        _assert_close_to(theta(lam, n), want)
+
+
+@pytest.mark.parametrize("shift", [None, -6.0, 2.2])
+def test_stiff_phases_match_mpmath_transfer_maps(shift):
+    from scipy.optimize import brentq
+    import tubespec.sturm_liouville as sl
+    # the potential reaches 2e8, so most cells are stiff; shift None puts
+    # lam 1e-9 above the mesh's lowest eigenvalue, where the solution from
+    # m0 decays over most of the interval before it grows: a composed cell
+    # map is then nearly of rank one, and the entry vector nearly in its
+    # kernel
+    p, n = _tube_mode_problem(10.0), 2048
+    theta, matched = sl._phase_engine(p)
+    lam0 = brentq(lambda x: matched(x, n) - math.pi, 5.0, 5.6, xtol=1e-14)
+    lam = lam0 + (1e-9 if shift is None else shift)
+    want_theta, want_matched = _mp_phases(p, lam, n)
+    _assert_close_to(theta(lam, n), want_theta)
+    _assert_close_to(matched(lam, n), want_matched)
+
+
+@pytest.mark.parametrize("R", [5.0, 6.0])
+def test_phase_engine_matches_scalar_loop_on_stiff_modes(R):
+    import tubespec.sturm_liouville as sl
+    p, n = _tube_mode_problem(R), 1024
+    theta, _ = sl._phase_engine(p)
+    h = p.length / n
+    qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5)).tolist()
+    for lam in (0.5, 3.0, 7.5, 10.0):
+        want = sl._theta_start(p)
+        for qc in qbar:
+            want = _reference_advance_phase(want, lam - qc, h)
+        assert abs(theta(lam, n) - want) <= 1e-12 * max(1.0, abs(want)), lam
 
 
 def test_phase_engine_advances_each_phase_once(monkeypatch):
     import tubespec.sturm_liouville as sl
-    calls = []
-    real = math.atan2
+    cells = []
+    real = sl._cell_nodes
 
-    def counting(y, x):
-        calls.append(1)
-        return real(y, x)
+    def counting(c, h):
+        cells.append(len(c))
+        return real(c, h)
 
-    # the engine binds math.atan2 when it is built; every oscillatory cell
-    # (here lam > q everywhere) calls it twice
-    monkeypatch.setattr(math, "atan2", counting)
+    # every cell a phase advances passes through _cell_nodes once
+    monkeypatch.setattr(sl, "_cell_nodes", counting)
     p = SLProblem(q=lambda u: 1.0 + u, m0=0.0, m1=2.0,
                   bc_left=BoundaryCondition.robin(0.5), bc_right=DIR)
-    theta_at, _ = sl._phase_engine(p)
-    calls.clear()
+    theta_at, matched = sl._phase_engine(p)
     first = theta_at(3.5, 512)
-    assert len(calls) == 2 * 512
+    assert sum(cells) == 512
     assert theta_at(3.5, 512) == first
-    assert len(calls) == 2 * 512
+    assert sum(cells) == 512
     theta_at(3.5, 1024)
-    assert len(calls) == 2 * (512 + 1024)
+    assert sum(cells) == 512 + 1024
+    first = matched(3.5, 512)
+    assert sum(cells) == 2 * 512 + 1024
+    assert matched(3.5, 512) == first
+    assert sum(cells) == 2 * 512 + 1024
+
+
+def _slow_converging_problem():
+    # converges to the default phase tolerance on meshes 1024 and 2048
+    return SLProblem(q=lambda u: 0.01 * u * u, m0=0.0, m1=math.pi,
+                     bc_left=DIR, bc_right=DIR)
+
+
+def test_shooting_evaluates_no_mesh_above_the_limit(monkeypatch):
+    import tubespec.sturm_liouville as sl
+    monkeypatch.setattr(sl, "_N_MAX", 1024)
+    calls = _count_phase_evaluations(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"step failure: .* at n=1024 still"):
+        solve_shooting(_slow_converging_problem(), (0.0, 10.0))
+    assert max(calls) == 1024
+
+
+def test_count_below_evaluates_no_mesh_above_the_limit(monkeypatch):
+    from scipy.optimize import brentq
+    import tubespec.sturm_liouville as sl
+    p = _slow_converging_problem()
+    theta, _ = sl._phase_engine(p)
+    n, target = 1024, sl._theta_target(p)
+    # lam between the second eigenvalues of meshes n and 2n: their counts
+    # differ, and count_below would settle it on mesh 4n
+    roots = [brentq(lambda x: theta(x, m) - target - math.pi, 0.5, 8.0,
+                    xtol=1e-15) for m in (n, 2 * n)]
+    lam = 0.5 * sum(roots)
+    assert sl._converged_mesh(theta, (lam,)) == n
+    assert count_below(p, lam) == 2
+    monkeypatch.setattr(sl, "_N_MAX", 2 * n)
+    calls = _count_phase_evaluations(monkeypatch)
+    with pytest.raises(RuntimeError, match="mesh 4096 is above the limit"):
+        count_below(p, lam)
+    assert max(calls) == 2 * n
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, True, "1e-9"],
+                         ids=["nan", "zero", "negative", "inf", "bool", "str"])
+def test_phase_tol_must_be_a_positive_number(tol):
+    p = _dirichlet_q0()
+    with pytest.raises(ValueError, match="phase_tol"):
+        solve_shooting(p, (0.0, 30.0), phase_tol=tol)
+    with pytest.raises(ValueError, match="phase_tol"):
+        solve_cross_validated(p, (0.0, 30.0), grid_n=128, phase_tol=tol)
 
 
 def test_phase_is_monotone_just_above_a_plateau_of_q():
