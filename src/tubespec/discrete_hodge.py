@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dissection import CoverSpec, cover_to_json, laplacian_bound
+from .dissection import (CoverSpec, c_rho_from_partition, cover_to_json,
+                         laplacian_bound)
 
 __all__ = [
     "DiracComplexMatrix",
@@ -312,10 +313,11 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
     than half the circle; their intersection has two components of 2e edges
     where e = round(fraction n / 2).  Arc and overlap data (smallest
     positive exact eigenvalues, harmonic dimensions) are measured on
-    Absolute interval complexes with the circle's own step; C_rho comes from
-    an explicit smoothstep partition of unity differentiated by the circle's
-    d.  The report compares the assembled bound against the true mu_N of
-    the circle from full diagonalization.
+    Absolute interval complexes with the circle's own step; C_rho is
+    c_rho_from_partition of an explicit smoothstep partition of unity, whose
+    periodic forward differences are the circle's d.  The report compares
+    the assembled bound against the true mu_N of the circle from full
+    diagonalization.
     """
     if n < 32:
         raise ValueError("case study needs n >= 32")
@@ -363,8 +365,7 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
             rho0[k] = 0.0
         else:
             rho0[k] = 1.0
-    grad = circle.D @ rho0
-    c_rho = 0.5 * float(np.max(np.abs(grad)) ** 2)
+    c_rho = c_rho_from_partition([rho0, 1.0 - rho0], step, periodic=True)
 
     cover = CoverSpec(
         mu_set=(mu_arc, mu_arc),

@@ -7,17 +7,17 @@ inside a finite eigenvalue window.  Two methods that share no code path:
   * symmetric finite differences with ghost-point Robin elimination, on
     meshes n and 2n, Richardson-extrapolated;
   * Pruefer phase shooting, propagating the phase exactly across cells on
-    which q is frozen at its midpoint.  The right-end phase picks the mesh
-    and counts the eigenvalues in the window; each eigenvalue is then
-    located by root finding on a matched phase, run from both ends to the
-    node where q is lowest, which stays smooth in lambda where q is stiff.
+    which q is frozen at its midpoint.  One phase, run from both ends to a
+    matching node, puts eigenvalue j at theta_target + j pi at every node.
+    Met at the right end it picks the mesh and counts the window; met where
+    q is lowest it stays smooth in lambda where q is stiff, and finds roots.
 
 Shooting may take FD eigenvalues as seeds for its root brackets.  A seeded
-bracket is used only after matched-phase evaluations at its ends show the
-sign change; otherwise it is widened, up to the whole window.  The matched
-phase is monotone in lambda, so every accepted bracket holds the same unique
-root: seeds save phase evaluations but cannot change which roots shooting
-finds, and the window count still comes from the right-end phase alone.
+bracket is used only after phase evaluations at its ends show the sign
+change; otherwise it is widened, up to the whole window.  The phase is
+monotone in lambda, so every accepted bracket holds the same unique root:
+seeds save phase evaluations but cannot change which roots shooting finds,
+and the window count still comes from the right-end phase alone.
 
 The piecewise-frozen propagation replaces naive Runge-Kutta stepping of the
 phase ODE: the tube potentials reach ~1e8 where any explicit stepper needs
@@ -370,51 +370,50 @@ def _advance(theta: float, qbar_cells, lam: float, h: float) -> float:
 
 
 def _phase_engine(problem: SLProblem):
-    """The two phases (lam, n) -> float of one solve, as (theta, matched).
+    """(phase, node) of one solve.
 
-    Both share each mesh's midpoint samples of q, and each remembers every
-    value it has returned.
-
-    theta is the phase at m1 reached from m0.  matched is
-    D = theta_L(u_k) + theta~_R(u_k): the phase from m0 and the phase of the
-    mirrored problem a(m0 + m1 - u), run from m1, meet at the node u_k left
-    of the cell where q is lowest.  Mirroring flips the sign of a', so the
-    mirrored start is atan2(1, -beta_right), or 0 for Dirichlet.  Both runs
-    head into the well, so D has no staircase where q is stiff; it is
-    increasing in lam, and eigenvalue j is its root D = (j + 1) pi.
+    phase(lam, n, k) runs from m0 across the first k of n cells and adds the
+    turn of the mirrored problem a(m0 + m1 - u), run from m1 across the
+    other n - k.  Mirroring flips the sign of a', so that run starts at
+    atan2(1, -beta_right), or 0 for Dirichlet: pi - theta_target.  So for
+    every k the phase increases with lam, eigenvalue j sits at
+    theta_target + j pi, and at k = n it is the right-end phase.  node(n) is
+    the node left of the lowest of the _N_START coarse cells, at the same u
+    on every doubled mesh; both runs head into the well there, so the phase
+    has no staircase where q is stiff.  A lowest last cell gives n, as a
+    lowest first cell gives 0: a run of n/64 cells would cost a second
+    reduction per evaluation.  Each mesh samples q once, and phase
+    remembers every value it has returned.
     """
     theta0 = _theta_start(problem)
     bc = problem.bc_right
     mirror0 = math.atan2(1.0, -bc.beta) if bc.is_robin else 0.0
     meshes: dict[int, tuple] = {}
-    theta_memo: dict[tuple, float] = {}
-    matched_memo: dict[tuple, float] = {}
+    memo: dict[tuple, float] = {}
 
     def mesh(n: int):
-        """(qbar, k, h): midpoint samples, matching node, cell width."""
+        """(qbar, h): midpoint samples and cell width."""
         if n not in meshes:
             h = problem.length / n
             qbar = problem.q_values(problem.m0 + h * (np.arange(n) + 0.5))
             if not np.all(np.isfinite(qbar)):
                 raise RuntimeError("integrator step failure: potential not finite")
-            meshes[n] = (qbar, int(np.argmin(qbar)), h)
+            meshes[n] = (qbar, h)
         return meshes[n]
 
-    def theta(lam: float, n: int) -> float:
-        if (lam, n) not in theta_memo:
-            qbar, _, h = mesh(n)
-            theta_memo[lam, n] = _advance(theta0, qbar, lam, h)
-        return theta_memo[lam, n]
+    def node(n: int) -> int:
+        k = int(np.argmin(mesh(_N_START)[0]))
+        return (k if k < _N_START - 1 else _N_START) * n // _N_START
 
-    def matched(lam: float, n: int) -> float:
-        if (lam, n) not in matched_memo:
-            qbar, k, h = mesh(n)
+    def phase(lam: float, n: int, k: int) -> float:
+        if (lam, n, k) not in memo:
+            qbar, h = mesh(n)
             # views, not copies: qbar[k:][::-1] runs the mirrored cells
-            matched_memo[lam, n] = (_advance(theta0, qbar[:k], lam, h)
-                                    + _advance(mirror0, qbar[k:][::-1], lam, h))
-        return matched_memo[lam, n]
+            turn = _advance(mirror0, qbar[k:][::-1], lam, h) - mirror0
+            memo[lam, n, k] = _advance(theta0, qbar[:k], lam, h) + turn
+        return memo[lam, n, k]
 
-    return theta, matched
+    return phase, node
 
 
 _PHASE_TOL = 1e-9
@@ -463,15 +462,15 @@ def _window_indices(theta_lo, theta_hi, target):
     return list(range(max(0, j_min), j_max + 1))
 
 
-# Root brackets.  Root j is found on the matched phase D of each mesh; it
-# is first bracketed in [g - w, g + w] around an estimate g, the bracket is
-# kept only when D at its ends shows the sign change, and w grows by _WIDEN
-# up to the whole window otherwise.  Because D is increasing in lam, any
-# bracket that passes holds the same unique root, so a wrong estimate costs
-# phase evaluations, never a different answer.  An FD seed with error bar e
-# starts at w = _FD_WIDTH e.  Every w is at least _MIN_WIDTH max(1, |g|),
-# about the smallest shift of a root between meshes n and 2n at the default
-# phase tolerance.
+# Root brackets.  Root j is found on each mesh's phase at the matching
+# node; it is first bracketed in [g - w, g + w] around an estimate g, the
+# bracket is kept only when the phase at its ends shows the sign change, and
+# w grows by _WIDEN up to the whole window otherwise.  Because the phase is
+# increasing in lam, any bracket that passes holds the same unique root, so
+# a wrong estimate costs phase evaluations, never a different answer.  An
+# FD seed with error bar e starts at w = _FD_WIDTH e.  Every w is at least
+# _MIN_WIDTH max(1, |g|), about the smallest shift of a root between meshes
+# n and 2n at the default phase tolerance.
 _FD_WIDTH = 2.0
 _MIN_WIDTH = 1e-8
 _WIDEN = 4.0
@@ -507,34 +506,33 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                    fd_seeds: SpectrumResult | None = None) -> SpectrumResult:
     """Windowed spectrum by Pruefer phase root finding, mesh-doubled.
 
-    The right-end phase theta(m1; lam) is strictly increasing in lambda, and
-    eigenvalue j is where it reaches theta_target + j pi, so the phases at
-    the window ends decide exactly which j fall inside; this is what makes
-    the method miss-proof.  The same phase picks the mesh.  Each root is then
-    located on the matched phase D(lam) of that mesh (see _phase_engine),
-    which is also increasing and equals (j + 1) pi exactly at eigenvalue j.
-    Where q is stiff, theta(m1; lam) jumps by pi in an exponentially narrow
-    interval of lambda and a root finder on it can only bisect; D is smooth.
+    The phase of _phase_engine is strictly increasing in lambda and reaches
+    theta_target + j pi at eigenvalue j, at every matching node k.  At the
+    right end (k = n) it picks the mesh, and its values at the window ends
+    decide exactly which j fall inside; this is what makes the method
+    miss-proof.  Each root is then found at the matching node: where q is
+    stiff the right-end phase jumps by pi in an exponentially narrow
+    interval of lambda, on which a root finder can only bisect.
 
     Each root is searched in a small bracket first: on the accepted mesh n
     around the matching FD eigenvalue of fd_seeds (used only when its count
     equals the phase count, sized from its error bar), on mesh 2n around the
-    mesh-n root.  A bracket is used only when D at its ends shows the sign
-    change, otherwise it is widened up to the whole window, so the seeds can
-    change the cost of a solve but not its result.
+    mesh-n root.  A bracket is used only when the phase at its ends shows the
+    sign change, otherwise it is widened up to the whole window, so the seeds
+    can change the cost of a solve but not its result.
     """
     lo, hi = _check_window(window)
     phase_tol = _check_phase_tol(phase_tol)
-    theta_at, matched = _phase_engine(problem)
+    phase, node = _phase_engine(problem)
     target = _theta_target(problem)
-    n = _converged_mesh(theta_at, (lo, hi), tol=phase_tol)
+    n = _converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=phase_tol)
     xtol = 1e-13 * max(1.0, abs(hi))
 
     roots = {}
     index_sets = []
     for mesh in (n, 2 * n):
-        th_lo = theta_at(lo, mesh)
-        th_hi = theta_at(hi, mesh)
+        th_lo = phase(lo, mesh, mesh)
+        th_hi = phase(hi, mesh, mesh)
         js = _window_indices(th_lo, th_hi, target)
         index_sets.append(js)
         if mesh == n:
@@ -552,12 +550,12 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                 # there is nothing for the root finder to bracket.
                 lam = hi
             else:
-                turns = (j + 1) * math.pi
-                lam = _bracketed_root(lambda x: matched(x, mesh) - turns, lo, hi,
+                k = node(mesh)
+                lam = _bracketed_root(lambda x: phase(x, mesh, k) - tau, lo, hi,
                                       guesses.get(j), xtol)
                 if lam is None:
                     raise RuntimeError(
-                        f"matched phase shows no sign change for eigenvalue "
+                        f"phase at node {k} shows no sign change for eigenvalue "
                         f"{j} on mesh {mesh} over the window {(lo, hi)}")
             roots.setdefault(j, {})[mesh] = lam
     if index_sets[0] != index_sets[1]:
@@ -577,20 +575,20 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
 def count_below(problem: SLProblem, lambda_star: float) -> int:
     """Exact number of eigenvalues strictly below lambda_star.
 
-    Independent of the windowed solvers: a single phase evaluation plus the
-    oscillation count ceil((theta - theta_target)/pi), stabilized by mesh
-    doubling until two consecutive meshes agree.
+    Independent of the windowed solvers: the phase at the matching node,
+    which next to an eigenvalue settles on far coarser meshes than the
+    right-end phase, gives the count ceil((phase - theta_target)/pi),
+    stabilized by mesh doubling until two consecutive meshes agree.
     """
     lam = float(lambda_star)
     if not math.isfinite(lam):
         raise ValueError("lambda_star must be finite")
-    theta_at, _ = _phase_engine(problem)
+    phase, node = _phase_engine(problem)
     target = _theta_target(problem)
-    n = _converged_mesh(theta_at, (lam,))
+    n = _converged_mesh(lambda x, m: phase(x, m, node(m)), (lam,))
 
     def count_at(mesh):
-        theta = theta_at(lam, mesh)
-        return max(0, math.ceil(_phase_units(theta, target)))
+        return max(0, math.ceil(_phase_units(phase(lam, mesh, node(mesh)), target)))
 
     c1, c2 = count_at(n), count_at(2 * n)
     if c1 != c2:

@@ -110,6 +110,33 @@ def test_count_below_matches_window_length():
         assert n == len(res.eigenvalues)
 
 
+def _sin2_well():
+    # q = 20 sin^2(3u): lowest eigenvalue 9.546986..., in the well at pi/3
+    return SLProblem(q=lambda u: 20.0 * np.sin(3.0 * u) ** 2, m0=0.0, m1=3.0,
+                     bc_left=DIR, bc_right=DIR)
+
+
+@pytest.mark.parametrize("lam, want", [(9.5469, 0), (9.54699, 1), (9.547, 1),
+                                       (9.6, 1)])
+def test_count_below_settles_next_to_the_first_eigenvalue(lam, want):
+    # the right-end phase changes by more than 1e-9 from n = 2^17 to 2^18
+    # at each of these lam; the phase at the matching node settles
+    assert count_below(_sin2_well(), lam) == want
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="the raw n-vs-2n right-end phase rule needs more than "
+                          "2^18 cells at 9.6 (ROADMAP item 8)")
+def test_mesh_rule_accepts_a_window_just_above_the_first_eigenvalue():
+    p = problem_from_json({
+        "m0": 0.0, "m1": 3.0,
+        "q": {"type": "fourier", "period": math.pi / 3.0, "a0": 10.0,
+              "cos": [-10.0]},
+        "bc_left": {"kind": "dirichlet"}, "bc_right": {"kind": "dirichlet"}})
+    res = solve_cross_validated(p, (0.0, 9.6))
+    assert res.eigenvalues == pytest.approx((9.546986471228905,), rel=1e-9)
+
+
 def test_methods_agree_on_smooth_potentials():
     rng = np.random.default_rng(5)
     for trial in range(3):
@@ -233,25 +260,24 @@ def test_problem_json_round_trip():
         problem_from_json({**doc, "extra": True})
 
 
-def _count_phase_evaluations(monkeypatch, phases=("theta", "matched")):
-    """Mesh size n of every new (lam, n) that the named phases advance."""
+def _count_phase_evaluations(monkeypatch, matching_only=False):
+    """Mesh size n of every new (lam, n, k) that the phase advances; with
+    matching_only, only those at the matching node k = node(n)."""
     import tubespec.sturm_liouville as sl
     calls = []
     real = sl._phase_engine
 
     def counting(problem):
-        def counted(name, phase):
-            seen = set()
+        phase, node = real(problem)
+        seen = set()
 
-            def call(lam, n):
-                # the engine memoizes, so only a new (lam, n) advances n cells
-                if name in phases and (lam, n) not in seen:
-                    seen.add((lam, n))
-                    calls.append(n)
-                return phase(lam, n)
-            return call
-        theta, matched = real(problem)
-        return counted("theta", theta), counted("matched", matched)
+        def call(lam, n, k):
+            # the engine memoizes, so only a new (lam, n, k) advances n cells
+            if (lam, n, k) not in seen and (k == node(n) or not matching_only):
+                seen.add((lam, n, k))
+                calls.append(n)
+            return phase(lam, n, k)
+        return call, node
 
     monkeypatch.setattr(sl, "_phase_engine", counting)
     return calls
@@ -325,43 +351,41 @@ _MATCHED_IDS = ["smooth", "tube", "repulsive"]
 
 
 @pytest.mark.parametrize("case", [0, 1, 2], ids=_MATCHED_IDS)
-def test_matched_phase_counts_like_the_right_end_phase(case):
-    import tubespec.sturm_liouville as sl
-    p, (lo, hi), _, tol = _matched_test_problems()[case]
-    theta, matched = sl._phase_engine(p)
-    target = sl._theta_target(p)
-    n = sl._converged_mesh(theta, (lo, hi), tol=tol)
-    for lam in np.linspace(lo, hi, 21).tolist():
-        # eigenvalue j sits at theta = target + j pi and at D = (j + 1) pi
-        one_sided = max(0, math.ceil(sl._phase_units(theta(lam, n), target)))
-        from_d = max(0, math.ceil(sl._phase_units(matched(lam, n), 0.0)) - 1)
-        assert from_d == one_sided, lam
-
-
-@pytest.mark.parametrize("case", [0, 1, 2], ids=_MATCHED_IDS)
-def test_matched_roots_agree_with_right_end_roots(case):
+def test_phase_counts_and_roots_alike_at_every_matching_node(case):
     from scipy.optimize import brentq
     import tubespec.sturm_liouville as sl
     p, (lo, hi), _, tol = _matched_test_problems()[case]
-    theta, matched = sl._phase_engine(p)
+    phase, node = sl._phase_engine(p)
     target = sl._theta_target(p)
-    n = sl._converged_mesh(theta, (lo, hi), tol=tol)
+    n = sl._converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=tol)
     xtol = 1e-13 * max(1.0, abs(hi))
+
+    def count(lam, mesh, k):
+        return max(0, math.ceil(sl._phase_units(phase(lam, mesh, k), target)))
+
     for mesh in (n, 2 * n):
-        js = sl._window_indices(theta(lo, mesh), theta(hi, mesh), target)
+        js = sl._window_indices(phase(lo, mesh, mesh), phase(hi, mesh, mesh), target)
         assert js
-        for j in js:
-            ref = brentq(lambda x: theta(x, mesh) - (target + j * math.pi),
-                         lo, hi, xtol=xtol, rtol=8.9e-16)
-            got = sl._bracketed_root(lambda x: matched(x, mesh) - (j + 1) * math.pi,
-                                     lo, hi, None, xtol)
-            assert abs(got - ref) <= 2.0 * xtol, (mesh, j)
+        refs = [brentq(lambda x: phase(x, mesh, mesh) - (target + j * math.pi),
+                       lo, hi, xtol=xtol, rtol=8.9e-16) for j in js]
+        for k in sorted({0, node(mesh), mesh // 2, mesh}):
+            # eigenvalue j sits at target + j pi whichever node the runs meet at
+            assert sl._window_indices(phase(lo, mesh, k), phase(hi, mesh, k),
+                                      target) == js, (mesh, k)
+            if mesh == n:
+                for lam in np.linspace(lo, hi, 21).tolist():
+                    assert count(lam, n, k) == count(lam, n, n), (k, lam)
+            for j, ref in zip(js, refs):
+                got = sl._bracketed_root(
+                    lambda x: phase(x, mesh, k) - (target + j * math.pi),
+                    lo, hi, None, xtol)
+                assert abs(got - ref) <= 2.0 * xtol, (mesh, k, j)
 
 
 def test_stiff_roots_cost_a_few_matched_phase_evaluations(monkeypatch):
     p, window, grid_n, tol = _matched_test_problems()[1]
     fd = solve_fd(p, grid_n, window)
-    calls = _count_phase_evaluations(monkeypatch, phases=("matched",))
+    calls = _count_phase_evaluations(monkeypatch, matching_only=True)
     for seeds in (fd, None):
         calls.clear()
         res = solve_shooting(p, window, phase_tol=tol, fd_seeds=seeds)
@@ -376,8 +400,9 @@ def test_no_sign_change_of_the_matched_phase_is_a_runtime_error(monkeypatch):
     real = sl._phase_engine
 
     def shifted(problem):
-        theta, matched = real(problem)
-        return theta, lambda lam, n: matched(lam, n) + 2.0 * math.pi
+        phase, node = real(problem)
+        return (lambda lam, n, k: phase(lam, n, k)
+                + (2.0 * math.pi if k == node(n) else 0.0)), node
 
     monkeypatch.setattr(sl, "_phase_engine", shifted)
     with pytest.raises(RuntimeError, match="no sign change for eigenvalue 0"):
@@ -480,18 +505,15 @@ def _mp_advance(theta, qbar_cells, lam, h):
         return theta
 
 
-def _mp_phases(p, lam, n):
-    """(theta, matched) of the engine's mesh n, from _mp_advance."""
+def _mp_phase(p, lam, n, k):
+    """The engine's phase(lam, n, k), from _mp_advance."""
     import tubespec.sturm_liouville as sl
     h = p.length / n
     qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5))
-    k = int(np.argmin(qbar))
     bc = p.bc_right
     mirror0 = math.atan2(1.0, -bc.beta) if bc.is_robin else 0.0
-    theta0 = sl._theta_start(p)
-    return (_mp_advance(theta0, qbar.tolist(), lam, h),
-            _mp_advance(theta0, qbar[:k].tolist(), lam, h)
-            + _mp_advance(mirror0, qbar[k:][::-1].tolist(), lam, h))
+    return (_mp_advance(sl._theta_start(p), qbar[:k].tolist(), lam, h)
+            + _mp_advance(mirror0, qbar[k:][::-1].tolist(), lam, h) - mirror0)
 
 
 def _assert_close_to(got, want, tol=1e-13):
@@ -512,7 +534,7 @@ def test_phase_engine_matches_mpmath_transfer_maps(lam):
     h = p.length / n
     qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5))
     want = _mp_advance(sl._theta_start(p), qbar.tolist(), lam, h)
-    _assert_close_to(sl._phase_engine(p)[0](lam, n), want)
+    _assert_close_to(sl._phase_engine(p)[0](lam, n, n), want)
 
 
 @pytest.mark.parametrize("lam", [30.0, 49.0, 80.0])
@@ -524,9 +546,9 @@ def test_identical_cells_advance_like_one_exact_cell(lam):
     p = SLProblem(q=lambda u: 0.0 * u + 50.0, m0=0.0, m1=1.0,
                   bc_left=BoundaryCondition.robin(0.3), bc_right=DIR)
     want = _mp_advance(sl._theta_start(p), [50.0], lam, 1.0)
-    theta, _ = sl._phase_engine(p)
+    phase, _ = sl._phase_engine(p)
     for n in (1024, 65536):
-        _assert_close_to(theta(lam, n), want)
+        _assert_close_to(phase(lam, n, n), want)
 
 
 @pytest.mark.parametrize("shift", [None, -6.0, 2.2])
@@ -539,26 +561,41 @@ def test_stiff_phases_match_mpmath_transfer_maps(shift):
     # map is then nearly of rank one, and the entry vector nearly in its
     # kernel
     p, n = _tube_mode_problem(10.0), 2048
-    theta, matched = sl._phase_engine(p)
-    lam0 = brentq(lambda x: matched(x, n) - math.pi, 5.0, 5.6, xtol=1e-14)
+    phase, node = sl._phase_engine(p)
+    k, target = node(n), sl._theta_target(p)
+    lam0 = brentq(lambda x: phase(x, n, k) - target, 5.0, 5.6, xtol=1e-14)
     lam = lam0 + (1e-9 if shift is None else shift)
-    want_theta, want_matched = _mp_phases(p, lam, n)
-    _assert_close_to(theta(lam, n), want_theta)
-    _assert_close_to(matched(lam, n), want_matched)
+    _assert_close_to(phase(lam, n, n), _mp_phase(p, lam, n, n))
+    _assert_close_to(phase(lam, n, k), _mp_phase(p, lam, n, k))
 
 
 @pytest.mark.parametrize("R", [5.0, 6.0])
 def test_phase_engine_matches_scalar_loop_on_stiff_modes(R):
     import tubespec.sturm_liouville as sl
     p, n = _tube_mode_problem(R), 1024
-    theta, _ = sl._phase_engine(p)
+    phase, _ = sl._phase_engine(p)
     h = p.length / n
     qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5)).tolist()
     for lam in (0.5, 3.0, 7.5, 10.0):
         want = sl._theta_start(p)
         for qc in qbar:
             want = _reference_advance_phase(want, lam - qc, h)
-        assert abs(theta(lam, n) - want) <= 1e-12 * max(1.0, abs(want)), lam
+        assert abs(phase(lam, n, n) - want) <= 1e-12 * max(1.0, abs(want)), lam
+
+
+def test_matching_node_sits_left_of_the_lowest_coarse_cell():
+    import tubespec.sturm_liouville as sl
+
+    def node(q):
+        return sl._phase_engine(SLProblem(q=q, m0=0.0, m1=2.0, bc_left=DIR,
+                                          bc_right=DIR))[1]
+
+    # the same u on every doubled mesh
+    well = node(lambda u: (u - 0.7) ** 2)
+    assert [well(n) for n in (64, 128, 4096)] == [22, 44, 1408]
+    # a well at an end leaves the other run empty
+    assert [node(lambda u: u * u)(n) for n in (64, 4096)] == [0, 0]
+    assert [node(lambda u: (2.0 - u) ** 2)(n) for n in (64, 4096)] == [64, 4096]
 
 
 def test_phase_engine_advances_each_phase_once(monkeypatch):
@@ -574,16 +611,17 @@ def test_phase_engine_advances_each_phase_once(monkeypatch):
     monkeypatch.setattr(sl, "_cell_nodes", counting)
     p = SLProblem(q=lambda u: 1.0 + u, m0=0.0, m1=2.0,
                   bc_left=BoundaryCondition.robin(0.5), bc_right=DIR)
-    theta_at, matched = sl._phase_engine(p)
-    first = theta_at(3.5, 512)
+    phase, node = sl._phase_engine(p)
+    first = phase(3.5, 512, 512)
     assert sum(cells) == 512
-    assert theta_at(3.5, 512) == first
+    assert phase(3.5, 512, 512) == first
     assert sum(cells) == 512
-    theta_at(3.5, 1024)
+    phase(3.5, 1024, 1024)
     assert sum(cells) == 512 + 1024
-    first = matched(3.5, 512)
+    # the matching node splits the mesh between the two runs
+    first = phase(3.5, 512, node(512))
     assert sum(cells) == 2 * 512 + 1024
-    assert matched(3.5, 512) == first
+    assert phase(3.5, 512, node(512)) == first
     assert sum(cells) == 2 * 512 + 1024
 
 
@@ -606,14 +644,18 @@ def test_count_below_evaluates_no_mesh_above_the_limit(monkeypatch):
     from scipy.optimize import brentq
     import tubespec.sturm_liouville as sl
     p = _slow_converging_problem()
-    theta, _ = sl._phase_engine(p)
+    phase, node = sl._phase_engine(p)
     n, target = 1024, sl._theta_target(p)
+
+    def at_node(x, m):
+        return phase(x, m, node(m))
+
     # lam between the second eigenvalues of meshes n and 2n: their counts
     # differ, and count_below would settle it on mesh 4n
-    roots = [brentq(lambda x: theta(x, m) - target - math.pi, 0.5, 8.0,
+    roots = [brentq(lambda x: at_node(x, m) - target - math.pi, 0.5, 8.0,
                     xtol=1e-15) for m in (n, 2 * n)]
     lam = 0.5 * sum(roots)
-    assert sl._converged_mesh(theta, (lam,)) == n
+    assert sl._converged_mesh(at_node, (lam,)) == n
     assert count_below(p, lam) == 2
     monkeypatch.setattr(sl, "_N_MAX", 2 * n)
     calls = _count_phase_evaluations(monkeypatch)
@@ -641,9 +683,9 @@ def test_phase_is_monotone_just_above_a_plateau_of_q():
     p = SLProblem(q=lambda u: 0.0 * u + 2.0, m0=0.0, m1=2.0,
                   bc_left=BoundaryCondition.robin(-1.0),
                   bc_right=BoundaryCondition.robin(1.0))
-    theta, _ = sl._phase_engine(p)
+    phase, _ = sl._phase_engine(p)
     target = sl._theta_target(p)
-    excess = [theta(2.0 + eps, 128) - target - math.pi
+    excess = [phase(2.0 + eps, 128, 128) - target - math.pi
               for eps in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)]
     assert all(e > 0.0 for e in excess), excess
     assert all(a < b for a, b in zip(excess, excess[1:])), excess
