@@ -350,31 +350,52 @@ def _matched_test_problems():
 _MATCHED_IDS = ["smooth", "tube", "repulsive"]
 
 
-@pytest.mark.parametrize("case", [0, 1, 2], ids=_MATCHED_IDS)
-def test_phase_counts_and_roots_alike_at_every_matching_node(case):
-    from scipy.optimize import brentq
+def _matched_setup(case):
+    """The phase engine of a matched test problem and its converged mesh."""
     import tubespec.sturm_liouville as sl
     p, (lo, hi), _, tol = _matched_test_problems()[case]
     phase, node = sl._phase_engine(p)
     target = sl._theta_target(p)
     n = sl._converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=tol)
+    return phase, node, target, n, (lo, hi)
+
+
+def _matching_nodes(node, mesh):
+    """Matching nodes to test: both ends, the engine's own node, the middle."""
+    return sorted({0, node(mesh), mesh // 2, mesh})
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=_MATCHED_IDS)
+def test_matched_phase_counts_like_the_right_end_phase(case):
+    import tubespec.sturm_liouville as sl
+    phase, node, target, n, (lo, hi) = _matched_setup(case)
+
+    def count(lam, k):
+        return max(0, math.ceil(sl._phase_units(phase(lam, n, k), target)))
+
+    js = sl._window_indices(phase(lo, n, n), phase(hi, n, n), target)
+    assert js
+    for k in _matching_nodes(node, n):
+        # eigenvalue j sits at target + j pi whichever node the runs meet at
+        assert sl._window_indices(phase(lo, n, k), phase(hi, n, k), target) == js, k
+        for lam in np.linspace(lo, hi, 21).tolist():
+            assert count(lam, k) == count(lam, n), (k, lam)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=_MATCHED_IDS)
+def test_matched_roots_agree_with_right_end_roots(case):
+    from scipy.optimize import brentq
+    import tubespec.sturm_liouville as sl
+    phase, node, target, n, (lo, hi) = _matched_setup(case)
     xtol = 1e-13 * max(1.0, abs(hi))
-
-    def count(lam, mesh, k):
-        return max(0, math.ceil(sl._phase_units(phase(lam, mesh, k), target)))
-
     for mesh in (n, 2 * n):
         js = sl._window_indices(phase(lo, mesh, mesh), phase(hi, mesh, mesh), target)
         assert js
         refs = [brentq(lambda x: phase(x, mesh, mesh) - (target + j * math.pi),
                        lo, hi, xtol=xtol, rtol=8.9e-16) for j in js]
-        for k in sorted({0, node(mesh), mesh // 2, mesh}):
-            # eigenvalue j sits at target + j pi whichever node the runs meet at
+        for k in _matching_nodes(node, mesh):
             assert sl._window_indices(phase(lo, mesh, k), phase(hi, mesh, k),
                                       target) == js, (mesh, k)
-            if mesh == n:
-                for lam in np.linspace(lo, hi, 21).tolist():
-                    assert count(lam, n, k) == count(lam, n, n), (k, lam)
             for j, ref in zip(js, refs):
                 got = sl._bracketed_root(
                     lambda x: phase(x, mesh, k) - (target + j * math.pi),
