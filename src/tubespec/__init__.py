@@ -20,7 +20,6 @@ from .dissection import (
     berger_scaling,
     compute_N,
     dirac_bound,
-    kunneth_min_sum,
     laplacian_bound,
 )
 from .discrete_hodge import (
@@ -86,7 +85,6 @@ __all__ = [
     "dirichlet_growth",
     "find_r0",
     "integrate_pair",
-    "kunneth_min_sum",
     "laplacian_bound",
     "min_offzero_kappa",
     "s1_case_study",

@@ -19,7 +19,6 @@ every bracketed term auditable.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -34,7 +33,6 @@ __all__ = [
     "compute_N",
     "laplacian_bound",
     "dirac_bound",
-    "kunneth_min_sum",
     "berger_scaling",
     "c_rho_from_partition",
     "cover_from_json",
@@ -210,32 +208,6 @@ def dirac_bound(cover: CoverSpec, ordered: bool = False) -> BoundResult:
     squared cover) exactly.
     """
     return laplacian_bound(cover.squared(), ordered=ordered)
-
-
-def kunneth_min_sum(spectrum_a, spectrum_b, count: int) -> list:
-    """The count smallest values of {a + b}, both inputs sorted ascending."""
-    a = [float(x) for x in spectrum_a]
-    b = [float(x) for x in spectrum_b]
-    if not a or not b:
-        raise ValueError("both spectra must be non-empty")
-    if any(a[i] > a[i + 1] for i in range(len(a) - 1)) or \
-       any(b[i] > b[i + 1] for i in range(len(b) - 1)):
-        raise ValueError("spectra must be sorted ascending")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    out = []
-    heap = [(a[0] + b[0], 0, 0)]
-    seen = {(0, 0)}
-    while heap and len(out) < count:
-        val, i, j = heapq.heappop(heap)
-        out.append(val)
-        if i + 1 < len(a) and (i + 1, j) not in seen:
-            seen.add((i + 1, j))
-            heapq.heappush(heap, (a[i + 1] + b[j], i + 1, j))
-        if j + 1 < len(b) and (i, j + 1) not in seen:
-            seen.add((i, j + 1))
-            heapq.heappush(heap, (a[i] + b[j + 1], i, j + 1))
-    return out
 
 
 @dataclass(frozen=True)

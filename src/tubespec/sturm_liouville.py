@@ -421,9 +421,10 @@ _N_START = 64
 _N_MAX = 1 << 18
 
 
-def _converged_mesh(theta_at, probes, tol=_PHASE_TOL) -> int:
+def _converged_mesh(theta_at, probes, tol=_PHASE_TOL, decided=None) -> int:
     """Smallest n (doubling from 64) with stable phases at all probe lambdas
-    on meshes n and 2n; no mesh above _N_MAX is evaluated."""
+    on meshes n and 2n, or, sooner, with decided(n) true once both meshes
+    are evaluated; no mesh above _N_MAX is evaluated."""
     n, worst = _N_START, math.inf
     while 2 * n <= _N_MAX:
         worst = 0.0
@@ -431,7 +432,7 @@ def _converged_mesh(theta_at, probes, tol=_PHASE_TOL) -> int:
             t1 = theta_at(lam, n)
             t2 = theta_at(lam, 2 * n)
             worst = max(worst, abs(t2 - t1) / max(1.0, abs(t2)))
-        if worst < tol:
+        if worst < tol or (decided is not None and decided(n)):
             return n
         n *= 2
     raise RuntimeError(
@@ -454,6 +455,28 @@ def _phase_units(theta: float, target: float) -> float:
     if abs(r - nearest) <= _SNAP_TOL * max(1.0, abs(r)):
         return float(nearest)
     return r
+
+
+# A count needs the phase units (theta - target)/pi only to within their
+# distance from the nearest integer.  The change from mesh n to 2n stands in
+# for the discretization error (Pryce 1993), times a safety factor.
+_COUNT_MARGIN = 4.0
+
+
+def _decided_count(theta_n: float, theta_2n: float, target: float) -> int | None:
+    """Strict count below lambda from the phases on meshes n and 2n, or None.
+
+    The count is decided when both meshes give the same ceiling of phase
+    units and the mesh-2n units lie farther than _COUNT_MARGIN times their
+    change from the nearest integer.  A margin of at least 1 implies the
+    first condition: no integer then lies between the two units.  Snapped
+    units sit on an integer, so a lambda within 1e-12 of an eigenvalue is
+    never decided here.
+    """
+    u1, u2 = _phase_units(theta_n, target), _phase_units(theta_2n, target)
+    if not abs(u2 - round(u2)) > _COUNT_MARGIN * abs(u2 - u1):
+        return None
+    return max(0, math.ceil(u2))
 
 
 def _window_indices(theta_lo, theta_hi, target):
@@ -508,11 +531,19 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
 
     The phase of _phase_engine is strictly increasing in lambda and reaches
     theta_target + j pi at eigenvalue j, at every matching node k.  At the
-    right end (k = n) it picks the mesh, and its values at the window ends
-    decide exactly which j fall inside; this is what makes the method
-    miss-proof.  Each root is then found at the matching node: where q is
-    stiff the right-end phase jumps by pi in an exponentially narrow
-    interval of lambda, on which a root finder can only bisect.
+    right end (k = n) it picks the mesh, and on a converged mesh its values
+    at the window ends decide exactly which j fall inside; this is what
+    makes the method miss-proof for windows that converge.  Each root is
+    then found at the matching node: where q is stiff the right-end phase
+    jumps by pi in an exponentially narrow interval of lambda, on which a
+    root finder can only bisect.
+
+    A window can end sooner, while the mesh doubles: when the counts below
+    both ends are decided on meshes n and 2n (_decided_count) and are equal,
+    the window is empty, and the result is empty with grid_n 2n.  That exit
+    rests on the margin rule, which takes the change from n to 2n as the
+    discretization error; solve_cross_validated's FD count is its net.  A
+    window that is not decided empty is solved as if the exit did not exist.
 
     Each root is searched in a small bracket first: on the accepted mesh n
     around the matching FD eigenvalue of fd_seeds (used only when its count
@@ -525,7 +556,18 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     phase_tol = _check_phase_tol(phase_tol)
     phase, node = _phase_engine(problem)
     target = _theta_target(problem)
-    n = _converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=phase_tol)
+
+    def count(lam, m):
+        return _decided_count(phase(lam, m, m), phase(lam, 2 * m, 2 * m), target)
+
+    def empty(m):
+        c = count(lo, m)
+        return c is not None and c == count(hi, m)
+
+    n = _converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=phase_tol,
+                        decided=empty)
+    if empty(n):
+        return SpectrumResult((), (), "Shooting", 2 * n)
     xtol = 1e-13 * max(1.0, abs(hi))
 
     roots = {}
@@ -577,18 +619,32 @@ def count_below(problem: SLProblem, lambda_star: float) -> int:
 
     Independent of the windowed solvers: the phase at the matching node,
     which next to an eigenvalue settles on far coarser meshes than the
-    right-end phase, gives the count ceil((phase - theta_target)/pi),
-    stabilized by mesh doubling until two consecutive meshes agree.
+    right-end phase, gives the count ceil((phase - theta_target)/pi).  The
+    mesh doubles from 64 until meshes n and 2n decide the count by the
+    margin rule of _decided_count, which settles the tube modes on meshes
+    of at most 1024 cells.  Where it never decides, as at an eigenvalue, the phase is
+    converged to 1e-9 and the counts of two consecutive meshes must agree.
+    No mesh above _N_MAX is evaluated.
     """
     lam = float(lambda_star)
     if not math.isfinite(lam):
         raise ValueError("lambda_star must be finite")
     phase, node = _phase_engine(problem)
     target = _theta_target(problem)
-    n = _converged_mesh(lambda x, m: phase(x, m, node(m)), (lam,))
+
+    def at_node(x, mesh):
+        return phase(x, mesh, node(mesh))
+
+    def decided(m):
+        return _decided_count(at_node(lam, m), at_node(lam, 2 * m), target)
+
+    n = _converged_mesh(at_node, (lam,), decided=lambda m: decided(m) is not None)
+    c = decided(n)
+    if c is not None:
+        return c
 
     def count_at(mesh):
-        return max(0, math.ceil(_phase_units(phase(lam, mesh, node(mesh)), target)))
+        return max(0, math.ceil(_phase_units(at_node(lam, mesh), target)))
 
     c1, c2 = count_at(n), count_at(2 * n)
     if c1 != c2:

@@ -17,7 +17,6 @@ from tubespec.dissection import (
     cover_from_json,
     cover_to_json,
     dirac_bound,
-    kunneth_min_sum,
     laplacian_bound,
 )
 
@@ -152,23 +151,6 @@ def test_cover_validation_errors():
                   adjacency=((1,), (0, 2), (1,)),
                   mu_pair={(0, 1): 1.0, (1, 2): 1.0},
                   C_rho=1.0, h_triple={(0, 1, 2): 1})
-
-
-def test_kunneth_min_sum():
-    got = kunneth_min_sum((0.0, 1.0, 4.0), (0.0, 2.0), 6)
-    assert got == [0.0, 1.0, 2.0, 3.0, 4.0, 6.0]
-    # duplicates in the inputs are legitimate spectra
-    assert kunneth_min_sum((0.0, 0.0), (0.0,), 2) == [0.0, 0.0]
-    assert kunneth_min_sum((1.0, 2.0), (3.0,), 1) == [4.0]
-
-
-def test_kunneth_validation():
-    with pytest.raises(ValueError, match="non-empty"):
-        kunneth_min_sum((), (1.0,), 1)
-    with pytest.raises(ValueError, match="sorted"):
-        kunneth_min_sum((2.0, 1.0), (0.0,), 1)
-    with pytest.raises(ValueError, match="count"):
-        kunneth_min_sum((1.0,), (1.0,), 0)
 
 
 def test_berger_curve_fixture():

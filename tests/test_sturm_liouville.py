@@ -283,15 +283,15 @@ def _count_phase_evaluations(monkeypatch, matching_only=False):
     return calls
 
 
-def _tube_mode_problem(R):
-    """Mode (1, 0), family Abs1, of the schedule's tube at R: a stiff problem
-    whose potential reaches ~7e4 (R = 6) to ~2e8 (R = 10) at the right end."""
+def _tube_mode_problem(R, family="Abs1"):
+    """Mode (1, 0) of the schedule's tube at R: a stiff problem whose
+    potential reaches ~7e4 (R = 6) to ~2e8 (R = 10) at the right end."""
     from tubespec.geometry import DegenerationSchedule, schedule_instantiate
     from tubespec.torus_modes import ModeIndex
     from tubespec.tube_spectrum import assemble_mode_problem, find_r0
     geom = schedule_instantiate(DegenerationSchedule(R_grid=(R,)), 0)
     geom = geom.with_r0(find_r0(geom)[0])
-    return assemble_mode_problem(ModeIndex(1, 0), geom, "Abs1")
+    return assemble_mode_problem(ModeIndex(1, 0), geom, family)
 
 
 def _seed_test_problems():
@@ -710,3 +710,156 @@ def test_phase_is_monotone_just_above_a_plateau_of_q():
               for eps in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)]
     assert all(e > 0.0 for e in excess), excess
     assert all(a < b for a, b in zip(excess, excess[1:])), excess
+
+
+# Counts decided before the phase converges.  The oracles: solve_fd, which
+# shares no code with the phase engine, and solve_shooting with the rule
+# switched off, which is the converged-mesh path on its own.
+
+
+def _without_decided_counts(monkeypatch):
+    import tubespec.sturm_liouville as sl
+    monkeypatch.setattr(sl, "_decided_count", lambda *args: None)
+
+
+def _tube_sweep_solves(monkeypatch):
+    """(problem, window, grid_n, phase_tol) of every (mode, family) pair that a
+    sweep over R = 5..10 at lambda_max 10 solves."""
+    import tubespec.sturm_liouville as sl
+    import tubespec.tube_spectrum as ts
+    from tubespec.geometry import DegenerationSchedule
+    solves = []
+
+    def record(problem, window, grid_n, phase_tol):
+        solves.append((problem, window, grid_n, phase_tol))
+        return sl.SpectrumResult((), (), "CrossValidated", grid_n)
+
+    with monkeypatch.context() as m:
+        m.setattr(ts, "solve_cross_validated", record)
+        ts.sweep(DegenerationSchedule(R_grid=(5, 6, 7, 8, 9, 10)),
+                 ts.SweepOptions(lambda_max=10.0))
+    return solves
+
+
+def _sl_solve_shapes():
+    """The three fourier shapes on [0, 2] of the benchmark's sl_solve
+    workload, without its jitter, with the window it gives them."""
+    shapes = [((1.897, [0.0, 0.901, -0.342], [0.024, 0.0, -0.625]), None, -0.565),
+              ((1.099, [0.0, 0.655, -0.087], [-0.153, 0.0, -0.160]), -1.417, None),
+              ((1.961, [0.0, -0.439, -0.014], [0.501, 0.0, -0.026]), None, 1.385)]
+    out = []
+    for (a0, cos_c, sin_c), beta_left, beta_right in shapes:
+        p = SLProblem(
+            q=potential_from_json({"type": "fourier", "period": 2.0 * math.pi,
+                                   "a0": a0, "cos": cos_c, "sin": sin_c}),
+            m0=0.0, m1=2.0,
+            bc_left=DIR if beta_left is None else BoundaryCondition.robin(beta_left),
+            bc_right=DIR if beta_right is None else BoundaryCondition.robin(beta_right))
+        out.append((p, (spectral_floor(p) - 1.0, 12.0), 256, 1e-9))
+    return out
+
+
+def test_window_counts_match_fd_and_the_converged_rule(monkeypatch):
+    cases = _tube_sweep_solves(monkeypatch)
+    # the (1, 0) mode in both families at every R
+    assert len(cases) == 12
+    cases += _sl_solve_shapes()
+    results = []
+    for p, window, grid_n, tol in cases:
+        fd = solve_fd(p, grid_n, window)
+        res = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
+        assert len(res.eigenvalues) == len(fd.eigenvalues)
+        results.append((p, window, tol, fd, res))
+    assert sum(not res.eigenvalues for *_, res in results) == 6
+    _without_decided_counts(monkeypatch)
+    for p, window, tol, fd, res in results:
+        old = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
+        assert len(old.eigenvalues) == len(res.eigenvalues)
+        if res.eigenvalues:
+            # a window that is not decided empty is solved exactly as before
+            assert res == old
+        else:
+            assert res.grid_n <= old.grid_n
+
+
+@pytest.mark.parametrize("R", [5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+def test_empty_tube_windows_are_decided_on_a_few_hundred_cells(R, monkeypatch):
+    p = _tube_mode_problem(R, "Abs2")
+    calls = _count_phase_evaluations(monkeypatch)
+    res = solve_shooting(p, (0.0, 10.0), phase_tol=1e-7)
+    assert res.eigenvalues == ()
+    # meshes 64 and 128 at both window ends
+    assert sum(calls) <= 384
+    assert res.grid_n == 128
+
+
+def _tube_count_cases():
+    return [(R, fam, _tube_mode_problem(R, fam), lam)
+            for R in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0) for fam in ("Abs1", "Abs2")
+            for lam in (5.3, 10.0)]
+
+
+def test_count_below_on_tube_modes_is_cheap_and_matches_fd(monkeypatch):
+    cases = _tube_count_cases()
+    assert len(cases) == 24
+    calls = _count_phase_evaluations(monkeypatch)
+    for R, fam, p, lam in cases:
+        calls.clear()
+        got = count_below(p, lam)
+        fd = solve_fd(p, 2048, (spectral_floor(p) - 1.0, lam))
+        assert got == len(fd.eigenvalues), (R, fam, lam)
+        # the converged rule spent 131k-524k cells here, and raised on
+        # Abs2 at lam = 10 for R = 7..10
+        assert sum(calls) <= 2048, (R, fam, lam)
+
+
+@pytest.mark.parametrize("window, want", [((1.0, 4.0), 4.0), ((8.9, 9.1), 9.0)])
+def test_undecided_window_ends_take_the_converged_path(window, want, monkeypatch):
+    # (1, 4): both ends are eigenvalues, which snapping keeps undecided;
+    # (8.9, 9.1) holds the eigenvalue 9
+    p = _dirichlet_q0()
+    new = solve_shooting(p, window)
+    assert new.eigenvalues == pytest.approx((want,), rel=1e-10)
+    _without_decided_counts(monkeypatch)
+    assert solve_shooting(p, window) == new
+
+
+def test_a_gap_between_eigenvalues_is_decided_empty(monkeypatch):
+    import tubespec.sturm_liouville as sl
+    decided = []
+    real = sl._decided_count
+
+    def spy(*args):
+        decided.append(real(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(sl, "_decided_count", spy)
+    p = _dirichlet_q0()
+    calls = _count_phase_evaluations(monkeypatch)
+    new = solve_shooting(p, (4.5, 8.9))
+    # two eigenvalues, 1 and 4, below both ends of the window
+    assert new.eigenvalues == () and new.grid_n == 128
+    assert decided[:2] == [2, 2]
+    assert sum(calls) == 2 * (64 + 128)
+    _without_decided_counts(monkeypatch)
+    assert solve_shooting(p, (4.5, 8.9)).eigenvalues == ()
+
+
+def test_a_count_is_decided_only_clear_of_the_integer():
+    import tubespec.sturm_liouville as sl
+    target = 0.5
+    at = [target + math.pi * u for u in (1.30, 1.31)]
+    assert sl._decided_count(*at, target) == 2
+    assert sl._decided_count(at[1], at[0], target) == 2
+    # the ceiling moves between the meshes
+    assert sl._decided_count(target + 0.98 * math.pi, target + 1.01 * math.pi,
+                             target) is None
+    # within _COUNT_MARGIN times the change of the nearest integer
+    assert sl._decided_count(target + 1.05 * math.pi, target + 1.04 * math.pi,
+                             target) is None
+    # on an eigenvalue the units snap to an integer even with no change
+    on = target + 3.0 * math.pi * (1.0 + 1e-15)
+    assert sl._decided_count(on, on, target) is None
+    # below the lowest eigenvalue the count is 0
+    assert sl._decided_count(target - 0.5 * math.pi, target - 0.5 * math.pi,
+                             target) == 0
