@@ -53,6 +53,7 @@ ABS_TOL = 1e-12
 RANK_TOL = 1e-10
 # s1_case_study diagonalizes dense n x n Gram blocks: O(n^2) memory, O(n^3) time
 MAX_CASE_STUDY_N = 2048
+CIRCLE_LENGTH = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -95,16 +96,15 @@ class DiracComplexMatrix:
         return self.Q @ self.Q
 
 
-def build_circle_complex(n: int, length: float = 2.0 * math.pi) -> DiracComplexMatrix:
-    """Periodic complex on n nodes and n edges; P blocks are circulant.
+def build_circle_complex(n: int) -> DiracComplexMatrix:
+    """Periodic complex on n nodes and n edges of the circle of length 2 pi.
 
-    The closed-form spectrum of each block is {4 sin^2(pi k / n) / step^2}.
+    The step is CIRCLE_LENGTH / n and the P blocks are circulant: the
+    closed-form spectrum of each is {4 sin^2(pi k / n) / step^2}.
     """
     if n < 4:
         raise ValueError("circle complex needs n >= 4")
-    if not length > 0:
-        raise ValueError("length must be positive")
-    step = length / n
+    step = CIRCLE_LENGTH / n
     D = (np.roll(np.eye(n), -1, axis=1) - np.eye(n)) / step
     return DiracComplexMatrix(f"circle(n={n})", step, D)
 
@@ -211,9 +211,19 @@ def coexact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
     return _positive_eigenvalues(cx.D.T @ cx.D)
 
 
+def _hodge_data(cx: DiracComplexMatrix) -> tuple:
+    """The positive exact spectrum and dim ker P, from one eigensolve.
+
+    d pairs the coexact and exact eigenspaces, so D^T D and D D^T share their
+    rank D positive eigenvalues, and dim ker P = dim - 2 rank D.
+    """
+    spectrum = exact_positive_spectrum(cx)
+    return spectrum, cx.dim - 2 * spectrum.size
+
+
 def harmonic_dimension(cx: DiracComplexMatrix) -> int:
-    """dim ker P: the eigenvalues of D^T D and of D D^T at or below the cutoff."""
-    return cx.dim - coexact_positive_spectrum(cx).size - exact_positive_spectrum(cx).size
+    """dim ker P, as dim - 2 rank D with rank D read off the exact spectrum."""
+    return _hodge_data(cx)[1]
 
 
 @dataclass(frozen=True)
@@ -313,11 +323,12 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
     than half the circle; their intersection has two components of 2e edges
     where e = round(fraction n / 2).  Arc and overlap data (smallest
     positive exact eigenvalues, harmonic dimensions) are measured on
-    Absolute interval complexes with the circle's own step; C_rho is
-    c_rho_from_partition of an explicit smoothstep partition of unity, whose
-    periodic forward differences are the circle's d.  The report compares
-    the assembled bound against the true mu_N of the circle from full
-    diagonalization.
+    Absolute interval complexes with the circle's own step, both read off
+    one exact spectrum per complex; C_rho is c_rho_from_partition of an
+    explicit smoothstep partition of unity, whose periodic forward
+    differences are the circle's d.  The report compares the assembled bound
+    against the true mu_N of the circle from its full exact spectrum, so the
+    study runs three dense eigensolves: arc, overlap component and circle.
     """
     if n < 32:
         raise ValueError("case study needs n >= 32")
@@ -339,32 +350,24 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
     # arcs as interval complexes: U_0 covers nodes [-e, half + e]
     arc_nodes = half + 2 * e + 1
     arc = build_interval_complex(arc_nodes, (arc_nodes - 1) * step, "Absolute")
-    mu_arc = float(exact_positive_spectrum(arc)[0])
-    h_arc = harmonic_dimension(arc)
+    arc_spectrum, h_arc = _hodge_data(arc)
+    mu_arc = float(arc_spectrum[0])
 
     # each overlap component spans 2e edges
     ov_nodes = 2 * e + 1
     overlap = build_interval_complex(ov_nodes, (ov_nodes - 1) * step, "Absolute")
-    mu_overlap = float(exact_positive_spectrum(overlap)[0])
-    h_overlap_total = 2 * harmonic_dimension(overlap)
+    overlap_spectrum, h_overlap = _hodge_data(overlap)
+    mu_overlap = float(overlap_spectrum[0])
+    h_overlap_total = 2 * h_overlap
 
-    # partition of unity: rho_0 is 1 on U_0 \ U_1, 0 on U_1 \ U_0, smoothstep
-    # ramps across the two overlap components
-    rho0 = np.zeros(n)
-    idx = np.arange(n)
-    # component A: nodes half - e .. half + e (rho_0 ramps 1 -> 0)
-    # component B: nodes n - e .. n + e (mod n)   (rho_0 ramps 0 -> 1)
-    for k in idx:
-        pos_a = (k - (half - e)) / (2.0 * e)
-        pos_b = ((k - (n - e)) % n) / (2.0 * e)
-        if 0.0 <= pos_a <= 1.0:
-            rho0[k] = 1.0 - _smoothstep(pos_a)
-        elif 0.0 <= pos_b <= 1.0:
-            rho0[k] = _smoothstep(pos_b)
-        elif half + e < k < n - e:  # inside U_1 only
-            rho0[k] = 0.0
-        else:
-            rho0[k] = 1.0
+    # partition of unity: rho_0 is 1 on U_0 \ U_1, 0 on U_1 \ U_0, and ramps
+    # 1 -> 0 over nodes half - e .. half + e, 0 -> 1 over n - e .. n + e mod n.
+    # _smoothstep runs on float64 scalars; an array form rounds differently.
+    up = np.array([_smoothstep(y) for y in np.arange(2 * e + 1) / (2.0 * e)])
+    rho0 = np.ones(n)
+    rho0[half + e + 1:n - e] = 0.0
+    rho0[half - e:half + e + 1] = 1.0 - up
+    rho0[np.arange(n - e, n + e + 1) % n] = up
     c_rho = c_rho_from_partition([rho0, 1.0 - rho0], step, periodic=True)
 
     cover = CoverSpec(

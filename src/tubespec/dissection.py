@@ -125,15 +125,6 @@ class CoverSpec:
         object.__setattr__(self, "h_triple", h_triple)
         object.__setattr__(self, "C_rho", C)
 
-    @property
-    def K(self) -> int:
-        return len(self.mu_set) - 1
-
-    @property
-    def pairs(self) -> list:
-        return sorted({(i, j) for i, row in enumerate(self.adjacency)
-                       for j in row if i < j})
-
     def squared(self) -> "CoverSpec":
         """Cover with every eigenvalue input squared (Dirac -> Laplacian form)."""
         return CoverSpec(

@@ -615,16 +615,18 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
 
 
 def count_below(problem: SLProblem, lambda_star: float) -> int:
-    """Exact number of eigenvalues strictly below lambda_star.
+    """Number of eigenvalues strictly below lambda_star, decided by a margin rule.
 
     Independent of the windowed solvers: the phase at the matching node,
     which next to an eigenvalue settles on far coarser meshes than the
     right-end phase, gives the count ceil((phase - theta_target)/pi).  The
     mesh doubles from 64 until meshes n and 2n decide the count by the
     margin rule of _decided_count, which settles the tube modes on meshes
-    of at most 1024 cells.  Where it never decides, as at an eigenvalue, the phase is
-    converged to 1e-9 and the counts of two consecutive meshes must agree.
-    No mesh above _N_MAX is evaluated.
+    of at most 1024 cells.  The rule is a heuristic: it takes the change
+    between the two meshes as the bound on the discretization error.  Where
+    it never decides, as at an eigenvalue, the phase is converged to 1e-9
+    and the counts of two consecutive meshes must agree.  No mesh above
+    _N_MAX is evaluated.
     """
     lam = float(lambda_star)
     if not math.isfinite(lam):

@@ -31,7 +31,6 @@ from .sturm_liouville import (
     SLProblem,
     attractive_boundary_constant,
     solve_cross_validated,
-    spectral_floor,
 )
 from .torus_modes import ModeIndex, kappa_value, min_offzero_kappa, modes_below
 
@@ -154,7 +153,8 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
     smallest on [r0, R0].  Only the modes with inf kappa at most the largest
     such cutoff are enumerated; the floor of modes_below shows that every
     other mode is skipped.  Every solve runs both methods and must
-    cross-validate.
+    cross-validate, and no eigenvalue may lie more than 1e-6 below the
+    mode's floor inf_u kappa - C(beta), or FloorViolation is raised.
     """
     geom = request.geometry
     lam_max = request.lambda_max
@@ -176,7 +176,8 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
     entries = []
     for mode, inf_q in zip(modes, inf_kappa.tolist()):
         for fam in request.families:
-            if inf_q - c_beta[fam] > lam_max:
+            floor = inf_q - c_beta[fam]
+            if floor > lam_max:
                 continue
             key = (_canonical(mode).r, _canonical(mode).s, fam)
             if key not in solved:
@@ -184,8 +185,7 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
                 result = solve_cross_validated(problem, window,
                                                grid_n=_GRID_N,
                                                phase_tol=_PHASE_TOL)
-                floor = spectral_floor(problem, inf_q=inf_q) - 1e-6
-                if not all(ev >= floor for ev in result.eigenvalues):
+                if not all(ev >= floor - 1e-6 for ev in result.eigenvalues):
                     raise FloorViolation(
                         f"mode {mode} {fam}: eigenvalue "
                         f"{min(result.eigenvalues)!r} below the quadratic-form "

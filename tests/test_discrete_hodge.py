@@ -265,9 +265,10 @@ def test_gram_spectra_match_projection_onto_ranges(kind, n):
     assert harmonic_dimension(cx) == _kernel_dimension(cx)
 
 
-def test_s1_case_study_matches_closed_forms():
-    n = 1024
-    rep = s1_case_study(n, 0.125)
+@pytest.mark.parametrize("frac", [0.125, 0.25])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_s1_case_study_matches_closed_forms(n, frac):
+    rep = s1_case_study(n, frac)
     h = 2.0 * math.pi / n
 
     def string(nodes):  # lowest free-string eigenvalue on `nodes` nodes
@@ -278,6 +279,35 @@ def test_s1_case_study_matches_closed_forms():
     assert rep["mu_overlap"] == pytest.approx(
         string(rep["overlap_component_nodes"]), rel=1e-10)
     assert rep["true_mu_N"] == pytest.approx(circle[rep["N"] - 1], rel=1e-10)
+    # the constant function spans the kernel of each Absolute interval
+    assert rep["harmonic_dim_arcs"] == 1
+    assert rep["harmonic_dim_overlap_total"] == 2
+
+    # the steepest step of the smoothstep ramp over 2e edges sets C_rho
+    ramp = 2 * rep["edge_extension"]
+
+    def smoothstep(y):
+        return 3.0 * y**2 - 2.0 * y**3
+
+    jump = max(abs(smoothstep((i + 1) / ramp) - smoothstep(i / ramp))
+               for i in range(ramp))
+    assert rep["C_rho"] == pytest.approx(0.5 * (jump / h) ** 2, rel=1e-12)
+
+
+def test_s1_case_study_runs_one_eigensolve_per_complex(monkeypatch):
+    # arc, overlap component and circle: each spectrum gives mu and h at once
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rep = s1_case_study(1024, 0.125)
+    assert rep["valid"]
+    e = rep["edge_extension"]
+    assert calls == [(512 + 2 * e, 512 + 2 * e), (2 * e, 2 * e), (1024, 1024)]
 
 
 def test_s1_case_study_builds_no_graded_matrix(monkeypatch):

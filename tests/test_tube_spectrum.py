@@ -2,12 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import tubespec.tube_spectrum as ts
+from tubespec.cli import main
 from tubespec.geometry import DegenerationSchedule, WarpedProfile, schedule_instantiate
-from tubespec.sturm_liouville import solve_cross_validated
+from tubespec.sturm_liouville import SpectrumResult, solve_cross_validated, spectral_floor
 from tubespec.torus_modes import ModeIndex, kappa_value
 from tubespec.tube_spectrum import (
+    FloorViolation,
     SweepOptions,
     SweepRow,
     TubeSpectrum,
@@ -217,3 +221,48 @@ def test_csv_rows_list_eigenvalues(tube6, spectrum6):
     for out, e in zip(flat, spectrum6.entries):
         assert out == (6.0, tube6.r0, e.mode.r, e.mode.s, e.family,
                        e.eigenvalue, e.error_estimate)
+
+
+def _below_floor(depth):
+    """A solve_cross_validated stand-in: one eigenvalue depth below the floor.
+
+    The floor is inf kappa - C(beta) with inf kappa at r0, where the mode's
+    potential is smallest.
+    """
+    def solve(problem, window, grid_n, phase_tol):
+        inf_q = float(problem.q_values(np.array([problem.m0]))[0])
+        ev = spectral_floor(problem, inf_q=inf_q) - depth
+        return SpectrumResult((ev,), (1e-9,), "CrossValidated", 2 * grid_n)
+    return solve
+
+
+def test_eigenvalue_below_floor_raises(tube6, monkeypatch):
+    monkeypatch.setattr(ts, "solve_cross_validated", _below_floor(2e-6))
+    with pytest.raises(FloorViolation, match="quadratic-form floor"):
+        tube_absolute_spectrum(TubeSpectrumRequest(geometry=tube6, lambda_max=10.0))
+
+
+def test_eigenvalue_within_floor_slack_passes(tube6, monkeypatch):
+    monkeypatch.setattr(ts, "solve_cross_validated", _below_floor(0.5e-6))
+    spectrum = tube_absolute_spectrum(
+        TubeSpectrumRequest(geometry=tube6, lambda_max=10.0))
+    assert spectrum.entries
+    for e in spectrum.entries:
+        problem = assemble_mode_problem(e.mode, tube6, e.family)
+        floor = spectral_floor(problem, inf_q=kappa_value(e.mode.r, e.mode.s,
+                                                          tube6.r0, tube6))
+        assert e.eigenvalue == pytest.approx(floor - 0.5e-6, abs=1e-9)
+
+
+def test_sweep_propagates_floor_violation(monkeypatch):
+    monkeypatch.setattr(ts, "solve_cross_validated", _below_floor(2e-6))
+    with pytest.raises(FloorViolation):
+        sweep(DegenerationSchedule(R_grid=(6.0,)), SweepOptions(lambda_max=10.0))
+
+
+def test_cli_floor_violation_exits_1_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(ts, "solve_cross_validated", _below_floor(2e-6))
+    out = tmp_path / "out"
+    assert main(["tube-sweep", "--out", str(out), "--override", "R_grid=[6.0]",
+                 "--override", "lambda_max=10"]) == 1
+    assert not out.exists()
