@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -252,7 +253,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: each parse fills a fresh
+    namespace, and the append of --override copies its default list."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--config", default=None, help="JSON config file")

@@ -212,15 +212,14 @@ def _fd_arrays(problem: SLProblem, n: int):
 
 
 def _sturm_count(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues of the tridiagonal below sigma (LDL inertia)."""
+    """Number of eigenvalues of the tridiagonal below sigma (LDL inertia).
+
+    Pivots run over Python floats from t = 1 and e_{-1} = 0; a zero pivot is taken as -1e-300.
+    """
     count = 0
-    t = d[0] - sigma
-    if t == 0.0:
-        t = -1e-300
-    if t < 0.0:
-        count += 1
-    for i in range(1, d.size):
-        t = d[i] - sigma - e[i - 1] ** 2 / t
+    t = 1.0
+    for ds, ei in zip((d - sigma).tolist(), [0.0] + e.tolist()):
+        t = ds - ei ** 2 / t
         if t == 0.0:
             t = -1e-300
         if t < 0.0:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import DegenerationSchedule, TubeGeometry, WarpedProfile, schedule_instantiate
 from .jsonio import check_bool, check_float
 from .sturm_liouville import (
@@ -32,7 +30,7 @@ from .sturm_liouville import (
     attractive_boundary_constant,
     solve_cross_validated,
 )
-from .torus_modes import ModeIndex, kappa_value, min_offzero_kappa, modes_below
+from .torus_modes import ModeCapExceeded, ModeIndex, kappa_value, min_offzero_kappa, modes_below
 
 __all__ = [
     "FloorViolation",
@@ -167,14 +165,13 @@ def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
     cutoff = lam_max + max(c_beta.values())
 
     kappa_min, _ = min_offzero_kappa(geom)
-    modes, outside_floor = modes_below(geom, cutoff)
-    modes = [m for m in modes if request.include_zero_mode or not m.is_zero]
+    modes, inf_kappa, outside_floor = modes_below(geom, cutoff)
 
-    inf_kappa = kappa_value(np.array([m.r for m in modes]),
-                            np.array([m.s for m in modes]), geom.r0, geom)
     solved = {}
     entries = []
     for mode, inf_q in zip(modes, inf_kappa.tolist()):
+        if mode.is_zero and not request.include_zero_mode:
+            continue
         for fam in request.families:
             floor = inf_q - c_beta[fam]
             if floor > lam_max:
@@ -216,9 +213,11 @@ def find_r0(geometry: TubeGeometry, threshold: float = 5.0):
     """Smallest r0 on the 0.1-grid with certified inf kappa above threshold.
 
     Accepts a geometry with or without r0 (any preset value is ignored, the
-    scan always starts at 0).  Returns (r0, achieved_infimum).  When no grid
-    point below R0 reaches the threshold the failure is explicit: the tube
-    is too short for the requested floor.
+    scan always starts at 0).  Returns (r0, achieved_infimum).  A grid point
+    that modes_below refuses (ModeCapExceeded) is skipped; any other error,
+    such as a floor that does not clear its cutoff, propagates.  When no
+    grid point below R0 reaches the threshold the failure is explicit: the
+    tube is too short for the requested floor.
     """
     threshold = float(threshold)
     candidates = []
@@ -230,7 +229,7 @@ def find_r0(geometry: TubeGeometry, threshold: float = 5.0):
     for r0 in candidates:
         try:
             achieved, _ = min_offzero_kappa(geometry.with_r0(r0))
-        except RuntimeError:
+        except ModeCapExceeded:
             continue
         best = achieved if best is None else max(best, achieved)
         if achieved > threshold:

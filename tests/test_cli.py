@@ -1,5 +1,6 @@
 """Command line driver: exit codes, config plumbing, deterministic outputs."""
 
+import argparse
 import json
 import math
 
@@ -264,6 +265,32 @@ def test_tube_sweep_floor_violation_is_verification_failure(
     err = capsys.readouterr().err
     assert code == 1
     assert "quadratic-form floor" in err and "Traceback" not in err
+
+
+def test_parser_is_built_once_and_overrides_stay_per_call(tmp_path, monkeypatch):
+    seen = []
+
+    def handler(args, config):
+        seen.append((list(args.override), config))
+        return {}, ("x",), [], cli.EXIT_OK
+
+    monkeypatch.setitem(cli._COMMANDS, "s1-dissect",
+                        (handler,) + cli._COMMANDS["s1-dissect"][1:])
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    for override in (["n=32"], ["n=64"], []):
+        argv = ["s1-dissect", "--out", str(tmp_path)]
+        argv += [arg for value in override for arg in ("--override", value)]
+        assert main(argv) == 0
+    assert seen == [(["n=32"], {"n": 32}), (["n=64"], {"n": 64}), ([], {})]
+    assert built == ["tubespec"]
 
 
 def test_sl_solve_input_error_leaves_no_out_directory(tmp_path, capsys):

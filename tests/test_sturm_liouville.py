@@ -863,3 +863,55 @@ def test_a_count_is_decided_only_clear_of_the_integer():
     # below the lowest eigenvalue the count is 0
     assert sl._decided_count(target - 0.5 * math.pi, target - 0.5 * math.pi,
                              target) == 0
+
+
+def _sturm_count_reference(d, e, sigma):
+    # the numpy-scalar loop, with its special first pivot, that _sturm_count
+    # replaced; kept as the oracle of the Python-float loop
+    count = 0
+    t = d[0] - sigma
+    if t == 0.0:
+        t = -1e-300
+    if t < 0.0:
+        count += 1
+    for i in range(1, d.size):
+        t = d[i] - sigma - e[i - 1] ** 2 / t
+        if t == 0.0:
+            t = -1e-300
+        if t < 0.0:
+            count += 1
+    return count
+
+
+def _sturm_cases(size, rng):
+    from scipy.linalg import eigvalsh_tridiagonal
+    cases = []
+    d, e = rng.standard_normal(size), rng.standard_normal(size - 1)
+    lam = eigvalsh_tridiagonal(d, e) if size > 1 else d.copy()
+    # sigma on an eigenvalue (as computed), between two, and outside them all
+    for sigma in (lam[size // 2], 0.5 * (lam[0] + lam[-1]), lam[0] - 1.0, lam[-1] + 1.0):
+        cases.append((d, e, np.float64(sigma)))
+    # small integers hit exact zero pivots, at the first row and further in
+    d = rng.integers(-2, 3, size).astype(float)
+    e = rng.integers(-1, 2, size - 1).astype(float)
+    for sigma in (-1.0, 0.0, 1.0, d[0]):
+        cases.append((d, e, np.float64(sigma)))
+    # the free Laplacian 2, -1 has eigenvalue 2 at every odd size; sigma = 2
+    # zeroes the first pivot
+    cases.append((np.full(size, 2.0), np.full(size - 1, -1.0), np.float64(2.0)))
+    return cases
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 17, 513, 4097])
+def test_sturm_count_matches_the_numpy_scalar_loop(size):
+    from tubespec.sturm_liouville import _sturm_count
+    rng = np.random.default_rng(size)
+    zero_pivots = 0
+    for d, e, sigma in _sturm_cases(size, rng):
+        assert _sturm_count(d, e, sigma) == _sturm_count_reference(d, e, sigma)
+        zero_pivots += d[0] == sigma
+    assert zero_pivots >= 2
+    # [[2, 1], [1, 2]] at its eigenvalue 1: the second pivot is exactly 0
+    d, e = np.array([2.0, 2.0]), np.array([1.0])
+    assert _sturm_count(d, e, np.float64(1.0)) == _sturm_count_reference(d, e, 1.0) == 1
+

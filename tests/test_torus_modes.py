@@ -1,6 +1,10 @@
 """Fiber eigenvalues on the twisted torus: values, minima, mode identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tubespec
 from tubespec.geometry import DegenerationSchedule, TubeGeometry, schedule_instantiate
 from tubespec.torus_modes import (
     MAX_MODE_CANDIDATES,
+    ModeCapExceeded,
     ModeIndex,
     kappa_value,
     min_offzero_kappa,
@@ -96,16 +102,19 @@ def test_modes_below_matches_brute_force(geom, cutoff):
     r_box = int(r_e) + 4
     r, s = _box(r_box, int((w_e + r_box * geom.rho) / (2.0 * math.pi)) + 4)
     k = kappa_value(r, s, geom.r0, geom)
-    modes, floor = modes_below(geom, cutoff)
+    modes, kappa, floor = modes_below(geom, cutoff)
     inside = k <= cutoff
     assert modes == sorted(ModeIndex(int(a), int(b)) for a, b in zip(r[inside], s[inside]))
     assert cutoff < floor <= k[~inside].min()
+    # the returned kappa is each mode's kappa_value at r0, bit for bit
+    assert np.array_equal(kappa, kappa_value([m.r for m in modes], [m.s for m in modes],
+                                             geom.r0, geom))
 
 
 def test_modes_below_refuses_past_the_cap():
     geom = TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=0.0, r0=0.2, R0=5.0)
     # rho = 0 puts every |r| <= sinh(5.8) sqrt(cutoff) in the s = 0 row
-    with pytest.raises(RuntimeError, match=str(MAX_MODE_CANDIDATES)):
+    with pytest.raises(ModeCapExceeded, match=str(MAX_MODE_CANDIDATES)):
         modes_below(geom, 10.0)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="cutoff"):
@@ -260,6 +269,32 @@ def test_verify_identities_catches_a_misnormalized_mode(monkeypatch):
     assert rep["max_residual"] <= 1e-6
     assert rep["normalization_rel_error"] == pytest.approx(1.37**2 - 1.0)
     assert not rep["passed"]
+
+
+def test_verify_identities_sees_a_modulus_that_varies_in_t(monkeypatch):
+    import tubespec.torus_modes as tm
+    real = tm._g_value
+    geom = _tube(6.0)
+
+    # |g|^2 gains (1 + 0.5 cos)^2, whose mean over a period is 1 + 1/8
+    def wobbly(mode, geometry, u, t, theta):
+        return real(mode, geometry, u, t, theta) * (
+            1.0 + 0.5 * np.cos(2.0 * math.pi * np.asarray(t) / geometry.epsilon))
+
+    monkeypatch.setattr(tm, "_g_value", wobbly)
+    rep = verify_mode_identities(ModeIndex(1, 1), geom)
+    assert rep["normalization_rel_error"] == pytest.approx(0.125, rel=1e-12)
+    assert not rep["passed"]
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    code = ("import sys, tubespec.cli; "
+            "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(tubespec.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    # scipy.optimize is loaded, so scipy itself is not what keeps integrate out
+    assert out == ["False", "True"]
 
 
 def test_verify_identities_r10_mode():

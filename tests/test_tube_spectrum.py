@@ -67,6 +67,39 @@ def test_find_r0_threshold_sensitivity():
     assert ach_low > 1.0
 
 
+def _modes_below_raising_at_r0_01(monkeypatch, exc):
+    import tubespec.torus_modes as tm
+    real = tm.modes_below
+
+    def patched(geometry, cutoff):
+        if geometry.r0 == 0.1:
+            raise exc
+        return real(geometry, cutoff)
+
+    monkeypatch.setattr(tm, "modes_below", patched)
+
+
+def test_find_r0_skips_a_capped_r0(monkeypatch):
+    _modes_below_raising_at_r0_01(
+        monkeypatch, ts.ModeCapExceeded("more than 1089 candidates"))
+    r0, achieved = find_r0(_tube(6.0))
+    assert r0 == pytest.approx(0.2)
+    assert achieved == pytest.approx(5.9672, abs=1e-3)
+
+
+def test_find_r0_raises_on_a_floor_that_does_not_clear(monkeypatch):
+    # a broken certificate, not a refusal: the scan must not step past it
+    # to r0 = 0.2
+    _modes_below_raising_at_r0_01(
+        monkeypatch, RuntimeError("mode floor 1.0 does not clear the cutoff 2.0"))
+    with pytest.raises(RuntimeError, match="mode floor") as info:
+        find_r0(_tube(6.0))
+    assert not isinstance(info.value, ts.ModeCapExceeded)
+    rows = sweep(DegenerationSchedule(R_grid=(6.0,)), SweepOptions())
+    assert len(rows) == 1 and not rows[0].ok
+    assert "mode floor" in rows[0].failure
+
+
 def test_assemble_abs1_matches_profile_beta(tube6):
     prof = WarpedProfile(tube6)
     p = assemble_mode_problem(ModeIndex(1, 0), tube6, "Abs1")
