@@ -53,7 +53,6 @@ from .torus_modes import ModeIndex, min_offzero_kappa, verify_mode_identities
 from .tube_spectrum import (
     SweepOptions,
     TubeSpectrum,
-    TubeSpectrumRequest,
     find_r0,
     sweep,
     tube_absolute_spectrum,
@@ -74,7 +73,6 @@ __all__ = [
     "SweepOptions",
     "TubeGeometry",
     "TubeSpectrum",
-    "TubeSpectrumRequest",
     "asymptotic_slope",
     "berger_scaling",
     "build_circle_complex",

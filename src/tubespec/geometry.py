@@ -9,9 +9,10 @@ standard reparametrization the relevant warping functions are
 
     f(u) = cosh(R - u),      h(u) = sinh(R - u),
 
-defined for u < R.  These are exact: the corrections phi and psi only
-carry the e^{-2u} form of the metric onto f^2 dt^2 + h^2 dtheta^2, so
-nothing here evaluates them.  The boundary tori F_u have mean curvature
+defined for u < R; TubeGeometry evaluates them, together with H and beta
+below, and no other module writes them out.  These are exact: the
+corrections phi and psi only carry the e^{-2u} form of the metric onto
+f^2 dt^2 + h^2 dtheta^2, so nothing here evaluates them.  The boundary tori F_u have mean curvature
 H(u) = -1/2 d/du log(f h), and the Robin coefficient used by the absolute
 boundary condition is beta(u) = d/du log(f h) = -2 H(u).
 
@@ -31,7 +32,6 @@ from .jsonio import check_fields, check_float
 
 __all__ = [
     "TubeGeometry",
-    "WarpedProfile",
     "DegenerationSchedule",
     "schedule_instantiate",
     "schedule_to_json",
@@ -41,11 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TubeGeometry:
-    """Parameters of a truncated tube.
+    """Parameters of a truncated tube and its warping functions.
 
     r0 may be None ("unset"): schedules do not determine the inner
     truncation, it is chosen downstream by a threshold search.  Operations
-    that need r0 raise if it is unset.
+    that need r0 raise if it is unset.  f, h, H and beta (module docstring)
+    accept scalars or arrays; h, H and beta need u < R, f allows u = R.
     """
 
     R: float
@@ -86,37 +87,28 @@ class TubeGeometry:
         return TubeGeometry(R=self.R, epsilon=self.epsilon, rho=self.rho,
                             r0=r0, R0=self.R0)
 
-
-@dataclass(frozen=True)
-class WarpedProfile:
-    """Metric functions of a tube; all callables accept scalars or arrays."""
-
-    geometry: TubeGeometry
-
     def f(self, u):
-        self._check_domain(u, allow_R=True)
-        return np.cosh(self.geometry.R - np.asarray(u, dtype=float))
+        return np.cosh(self._from_core(u, allow_R=True))
 
     def h(self, u):
-        self._check_domain(u)
-        return np.sinh(self.geometry.R - np.asarray(u, dtype=float))
+        return np.sinh(self._from_core(u))
 
     def H(self, u):
         """Mean curvature of the torus leaf at u: -1/2 d/du log(f h)."""
-        self._check_domain(u)
-        x = self.geometry.R - np.asarray(u, dtype=float)
+        x = self._from_core(u)
         return 0.5 * (np.tanh(x) + 1.0 / np.tanh(x))
 
     def beta(self, u):
         """Robin coefficient d/du log(f h) = -2 H(u) < 0."""
         return -2.0 * self.H(u)
 
-    def _check_domain(self, u, allow_R: bool = False):
+    def _from_core(self, u, allow_R: bool = False):
+        """R - u, after checking that u stays below R (or at most R)."""
         u = np.asarray(u, dtype=float)
-        R = self.geometry.R
-        bad = (u > R) if allow_R else (u >= R)
-        if np.any(bad):
-            raise ValueError(f"u must stay below R={R} (h vanishes at R)")
+        bad = (u > self.R) if allow_R else (u >= self.R)
+        if bad.any():
+            raise ValueError(f"u must stay below R={self.R} (h vanishes at R)")
+        return self.R - u
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TubeGeometry, WarpedProfile
+from .geometry import TubeGeometry
 
 __all__ = [
     "ModeCapExceeded",
@@ -77,14 +77,11 @@ class ModeIndex:
 def kappa_value(r, s, u, geometry: TubeGeometry):
     """kappa_{(r,s)}(u), vectorized over u or over (r, s).
 
-    Valid for u < R; no [r0, R0] restriction so sweeps may probe [r0, R).
+    Valid for u < R (geometry.h raises otherwise); no [r0, R0] restriction
+    so sweeps may probe [r0, R).
     """
-    u = np.asarray(u, dtype=float)
-    if np.any(u >= geometry.R):
-        raise ValueError(f"u must stay below R={geometry.R} (h vanishes at R)")
-    x = geometry.R - u
-    f = np.cosh(x)
-    h = np.sinh(x)
+    f = geometry.f(u)
+    h = geometry.h(u)
     w = 2.0 * math.pi * np.asarray(s, dtype=float) + np.asarray(r, dtype=float) * geometry.rho
     return (w / (geometry.epsilon * f)) ** 2 + (np.asarray(r, dtype=float) / h) ** 2
 
@@ -107,9 +104,8 @@ def modes_below(geometry: TubeGeometry, cutoff: float):
     if not (cutoff >= 0.0 and math.isfinite(cutoff)):
         raise ValueError(f"cutoff must be nonnegative and finite, got {cutoff}")
     rho = geometry.rho
-    x0 = geometry.R - r0
-    h0 = float(np.sinh(x0))
-    ef0 = geometry.epsilon * float(np.cosh(x0))
+    h0 = float(geometry.h(r0))
+    ef0 = geometry.epsilon * float(geometry.f(r0))
     root = math.sqrt(cutoff)
     w_max = ef0 * root
     r_max = math.floor(h0 * root) + 1.0
@@ -185,10 +181,9 @@ def min_offzero_kappa(geometry: TubeGeometry):
 
 
 def _g_value(mode: ModeIndex, geometry: TubeGeometry, u, t, theta):
-    prof = WarpedProfile(geometry)
     omega_t = (2.0 * math.pi * mode.s + mode.r * geometry.rho) / geometry.epsilon
     phase = omega_t * np.asarray(t, dtype=float) - mode.r * np.asarray(theta, dtype=float)
-    norm = np.sqrt(2.0 * math.pi * geometry.epsilon * prof.f(u) * prof.h(u))
+    norm = np.sqrt(2.0 * math.pi * geometry.epsilon * geometry.f(u) * geometry.h(u))
     return np.exp(1j * phase) / norm
 
 
@@ -231,7 +226,6 @@ def verify_mode_identities(mode: ModeIndex, geometry: TubeGeometry) -> dict:
     u_samples = [r0 + frac * (R0 - r0) for frac in (0.25, 0.5, 0.75)]
     h_step = min(1e-3, 3e-3 * (R0 - r0))
 
-    prof = WarpedProfile(geometry)
     eps, rho = geometry.epsilon, geometry.rho
     omega_t = (2.0 * math.pi * mode.s + mode.r * rho) / eps
     t0, th0 = 0.3 * eps, 1.1
@@ -239,13 +233,13 @@ def verify_mode_identities(mode: ModeIndex, geometry: TubeGeometry) -> dict:
     for u in u_samples:
         g = complex(_g_value(mode, geometry, u, t0, th0))
         ga = abs(g)
-        f_u = float(prof.f(u))
-        h_u = float(prof.h(u))
+        f_u = float(geometry.f(u))
+        h_u = float(geometry.h(u))
         kap = float(kappa_value(mode.r, mode.s, u, geometry))
 
         num = _deriv1(lambda x: _g_value(mode, geometry, x, t0, th0), u, h_step)
-        exact = float(prof.H(u)) * g
-        res["du"] = max(res["du"], abs(num - exact) / ((abs(float(prof.H(u))) + 1.0) * ga))
+        exact = float(geometry.H(u)) * g
+        res["du"] = max(res["du"], abs(num - exact) / ((abs(float(geometry.H(u))) + 1.0) * ga))
 
         ht = 1e-3 / (abs(omega_t) + 1.0 / eps)
         num = _deriv1(lambda x: _g_value(mode, geometry, u, x, th0), t0, ht)
@@ -266,8 +260,8 @@ def verify_mode_identities(mode: ModeIndex, geometry: TubeGeometry) -> dict:
 
     # normalization at the middle sample
     u_mid = u_samples[len(u_samples) // 2]
-    f_u = float(prof.f(u_mid))
-    h_u = float(prof.h(u_mid))
+    f_u = float(geometry.f(u_mid))
+    h_u = float(geometry.h(u_mid))
 
     grid = np.arange(64) / 64
     g = _g_value(mode, geometry, u_mid, eps * grid[:, None], 2.0 * math.pi * grid)

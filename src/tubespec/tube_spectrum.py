@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import DegenerationSchedule, TubeGeometry, WarpedProfile, schedule_instantiate
+from .geometry import DegenerationSchedule, TubeGeometry, schedule_instantiate
 from .jsonio import check_bool, check_float
 from .sturm_liouville import (
     BoundaryCondition,
@@ -34,7 +34,6 @@ from .torus_modes import ModeCapExceeded, ModeIndex, kappa_value, min_offzero_ka
 
 __all__ = [
     "FloorViolation",
-    "TubeSpectrumRequest",
     "TubeSpectrum",
     "SpectrumEntry",
     "SweepOptions",
@@ -63,9 +62,19 @@ class FloorViolation(RuntimeError):
     """
 
 
-class _WindowOptions:
-    """lambda_max (stored as a float), family and include_zero_mode checks of
-    requests and sweeps."""
+@dataclass(frozen=True)
+class SweepOptions:
+    """Settings of a sweep; the last three are the window of each spectrum.
+
+    threshold is find_r0's floor on inf kappa; lambda_max (positive) is the
+    window top; family is "Abs1", "Abs2" or "Both"; include_zero_mode keeps
+    the (0, 0) mode's eigenvalues.  Numbers are stored as floats.
+    """
+
+    threshold: float = 5.0
+    lambda_max: float = 2.0
+    family: str = "Both"
+    include_zero_mode: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_max", check_float(self.lambda_max, "lambda_max"))
@@ -75,18 +84,7 @@ class _WindowOptions:
             raise ValueError("lambda_max must be positive")
         if self.family not in ("Abs1", "Abs2", "Both"):
             raise ValueError(f"unknown family {self.family!r}")
-
-
-@dataclass(frozen=True)
-class TubeSpectrumRequest(_WindowOptions):
-    geometry: TubeGeometry
-    lambda_max: float
-    include_zero_mode: bool = False
-    family: str = "Both"
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.geometry.require_r0()
+        object.__setattr__(self, "threshold", check_float(self.threshold, "threshold"))
 
     @property
     def families(self) -> tuple:
@@ -125,9 +123,8 @@ def assemble_mode_problem(mode: ModeIndex, geometry: TubeGeometry,
         return kappa_value(_r, _s, u, _g)
 
     if family == "Abs1":
-        prof = WarpedProfile(geometry)
-        bc_l = BoundaryCondition.robin(float(prof.beta(r0)))
-        bc_r = BoundaryCondition.robin(float(prof.beta(R0)))
+        bc_l = BoundaryCondition.robin(float(geometry.beta(r0)))
+        bc_r = BoundaryCondition.robin(float(geometry.beta(R0)))
     else:
         bc_l = BoundaryCondition.dirichlet()
         bc_r = BoundaryCondition.dirichlet()
@@ -142,43 +139,47 @@ def _canonical(mode: ModeIndex) -> ModeIndex:
     return ModeIndex(-mode.r, -mode.s)
 
 
-def tube_absolute_spectrum(request: TubeSpectrumRequest) -> TubeSpectrum:
+def tube_absolute_spectrum(geometry: TubeGeometry,
+                           options: SweepOptions = SweepOptions()) -> TubeSpectrum:
     """Merged windowed spectra of every mode that can reach the window.
 
-    A mode/family pair is solved unless inf_u kappa - C(beta) > lambda_max,
-    where C is the attractive-boundary constant of that family (zero for
-    Dirichlet) and inf_u kappa is the mode's kappa at r0, where it is
-    smallest on [r0, R0].  Only the modes with inf kappa at most the largest
-    such cutoff are enumerated; the floor of modes_below shows that every
-    other mode is skipped.  Every solve runs both methods and must
+    geometry needs r0 set (find_r0).  options gives the window (0,
+    lambda_max], the families and whether the zero mode is kept; its
+    threshold is find_r0's and unused here.  A mode/family pair is solved
+    unless inf_u kappa - C(beta) > lambda_max, where C is the
+    attractive-boundary constant of that family (zero for Dirichlet) and
+    inf_u kappa is the mode's kappa at r0, where it is smallest on [r0, R0].
+    Only the modes with inf kappa at most the largest such cutoff are
+    enumerated; the floor of modes_below shows that every other mode is
+    skipped.  Every solve runs both methods and must
     cross-validate, and no eigenvalue may lie more than 1e-6 below the
     mode's floor inf_u kappa - C(beta), or FloorViolation is raised.
     """
-    geom = request.geometry
-    lam_max = request.lambda_max
+    geometry.require_r0()
+    lam_max = options.lambda_max
     window = (0.0, lam_max)
 
     c_beta = {}
-    for fam in request.families:
-        probe = assemble_mode_problem(ModeIndex(0, 0), geom, fam)
+    for fam in options.families:
+        probe = assemble_mode_problem(ModeIndex(0, 0), geometry, fam)
         c_beta[fam] = attractive_boundary_constant(probe)
     cutoff = lam_max + max(c_beta.values())
 
-    kappa_min, _ = min_offzero_kappa(geom)
-    modes, inf_kappa, outside_floor = modes_below(geom, cutoff)
+    kappa_min, _ = min_offzero_kappa(geometry)
+    modes, inf_kappa, outside_floor = modes_below(geometry, cutoff)
 
     solved = {}
     entries = []
     for mode, inf_q in zip(modes, inf_kappa.tolist()):
-        if mode.is_zero and not request.include_zero_mode:
+        if mode.is_zero and not options.include_zero_mode:
             continue
-        for fam in request.families:
+        for fam in options.families:
             floor = inf_q - c_beta[fam]
             if floor > lam_max:
                 continue
             key = (_canonical(mode).r, _canonical(mode).s, fam)
             if key not in solved:
-                problem = assemble_mode_problem(mode, geom, fam)
+                problem = assemble_mode_problem(mode, geometry, fam)
                 result = solve_cross_validated(problem, window,
                                                grid_n=_GRID_N,
                                                phase_tol=_PHASE_TOL)
@@ -241,18 +242,6 @@ def find_r0(geometry: TubeGeometry, threshold: float = 5.0):
 
 
 @dataclass(frozen=True)
-class SweepOptions(_WindowOptions):
-    threshold: float = 5.0
-    lambda_max: float = 2.0
-    family: str = "Both"
-    include_zero_mode: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "threshold", check_float(self.threshold, "threshold"))
-
-
-@dataclass(frozen=True)
 class SweepRow:
     R: float
     r0: float | None
@@ -273,22 +262,18 @@ def sweep(schedule: DegenerationSchedule,
           options: SweepOptions = SweepOptions()) -> list:
     """Run find_r0 + tube_absolute_spectrum for every R in the schedule.
 
-    Per-R failures (short tubes, certificate trouble) become rows with a
-    failure reason and the sweep continues to the next R; a FloorViolation
-    is a solver defect and propagates.
+    options goes to tube_absolute_spectrum as it is.  Per-R failures (a
+    geometry that cannot be built, such as one whose epsilon underflows to
+    0, a short tube, certificate trouble) become rows with a failure reason
+    and the sweep continues to the next R; a FloorViolation is a solver
+    defect and propagates.  Rows follow the schedule's increasing R_grid.
     """
     rows = []
     for j, R in enumerate(schedule.R_grid):
-        geom = schedule_instantiate(schedule, j)
         try:
+            geom = schedule_instantiate(schedule, j)
             r0, achieved = find_r0(geom, threshold=options.threshold)
-            geom = geom.with_r0(r0)
-            spectrum = tube_absolute_spectrum(TubeSpectrumRequest(
-                geometry=geom,
-                lambda_max=options.lambda_max,
-                include_zero_mode=options.include_zero_mode,
-                family=options.family,
-            ))
+            spectrum = tube_absolute_spectrum(geom.with_r0(r0), options)
             rows.append(SweepRow(R=float(R), r0=r0, achieved_inf=achieved,
                                  spectrum=spectrum))
         except FloorViolation:
@@ -296,7 +281,6 @@ def sweep(schedule: DegenerationSchedule,
         except (RuntimeError, ValueError) as exc:
             rows.append(SweepRow(R=float(R), r0=None, achieved_inf=None,
                                  spectrum=None, failure=str(exc)))
-    rows.sort(key=lambda row: row.R)
     return rows
 
 

@@ -42,7 +42,7 @@ from tubespec.sturm_liouville import (
 )
 from tubespec.torus_modes import ModeIndex, verify_mode_identities
 from tubespec.tube_spectrum import (
-    TubeSpectrumRequest,
+    SweepOptions,
     find_r0,
     tube_absolute_spectrum,
 )
@@ -140,8 +140,8 @@ def test_criterion_4_tube_threshold():
         geom = schedule_instantiate(DegenerationSchedule(R_grid=(R,)), 0)
         r0, achieved = find_r0(geom, threshold=5.0)
         assert achieved > 5.0
-        spectrum = tube_absolute_spectrum(TubeSpectrumRequest(
-            geometry=geom.with_r0(r0), lambda_max=2.0))
+        spectrum = tube_absolute_spectrum(geom.with_r0(r0),
+                                          SweepOptions(lambda_max=2.0))
         cert = spectrum.truncation_certificate
         assert cert["outside_floor"] > cert["skip_cutoff"]
         for entry in spectrum.entries:
@@ -162,8 +162,8 @@ def test_criterion_4_tube_threshold_nonvacuous():
     start = time.perf_counter()
     geom = schedule_instantiate(DegenerationSchedule(R_grid=(6.0,)), 0)
     r0, _ = find_r0(geom, threshold=5.0)
-    spectrum = tube_absolute_spectrum(TubeSpectrumRequest(
-        geometry=geom.with_r0(r0), lambda_max=10.0))
+    spectrum = tube_absolute_spectrum(geom.with_r0(r0),
+                                      SweepOptions(lambda_max=10.0))
     assert spectrum.entries
     for entry in spectrum.entries:
         assert entry.eigenvalue >= 1.0, entry

@@ -229,6 +229,20 @@ def test_tube_sweep_short_tube_documents_failure(tmp_path):
     assert "FAILED:" in csv_text
 
 
+def test_tube_sweep_unbuildable_geometry_documents_failure(tmp_path):
+    # epsilon = e^{-800} underflows to 0: that R becomes a failure row, and
+    # the R = 6 row before it is still written
+    assert main(["tube-sweep", "--out", str(tmp_path),
+                 "--override", "R_grid=[6, 400]",
+                 "--override", "lambda_max=10"]) == 0
+    good, bad = _read_json(tmp_path, "tube_sweep.json")["rows"]
+    assert good["R"] == 6.0 and good["pass"] is True and good["n_entries"] == 2
+    assert bad["R"] == 400.0 and bad["pass"] is None
+    assert bad["failure"] == "epsilon must be positive, got 0.0"
+    csv_lines = (tmp_path / "tube_sweep.csv").read_text().splitlines()
+    assert csv_lines[-1] == '400,,,,"FAILED: epsilon must be positive, got 0.0",,'
+
+
 def test_tube_sweep_far_wraparound_tube(tmp_path):
     # at D1 = 0.1, R = 3 the smallest off-zero kappa sits at +-(126, -1),
     # so r0 = 0 already clears the threshold and the window (0, 10] is empty

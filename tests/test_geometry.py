@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tubespec.geometry import (
     DegenerationSchedule,
     TubeGeometry,
-    WarpedProfile,
     schedule_from_json,
     schedule_instantiate,
     schedule_to_json,
@@ -94,35 +93,32 @@ def test_profile_H_identity_against_numerical_log_derivative():
     # H(u) = 1/2 (tanh + coth)(R - u) must match -1/2 d/du log(f h) to O(step^2)
     geom = TubeGeometry(R=6.0, r0=0.5, R0=5.0,
                         epsilon=math.exp(-12.0), rho=math.exp(-6.0))
-    prof = WarpedProfile(geom)
     u = np.linspace(0.6, 4.9, 41)
     for step in (1e-3, 5e-4):
-        log_fh = lambda x: np.log(prof.f(x) * prof.h(x))
+        log_fh = lambda x: np.log(geom.f(x) * geom.h(x))
         numeric = -0.5 * (log_fh(u + step) - log_fh(u - step)) / (2.0 * step)
-        assert np.max(np.abs(numeric - prof.H(u))) < 10.0 * step**2
+        assert np.max(np.abs(numeric - geom.H(u))) < 10.0 * step**2
 
 
 def test_profile_bounds_and_beta():
     geom = TubeGeometry(R=8.0, r0=0.2, R0=7.0,
                         epsilon=math.exp(-16.0), rho=math.exp(-8.0))
-    prof = WarpedProfile(geom)
     u = np.linspace(0.2, 7.0, 101)
-    assert np.all(prof.f(u) >= 1.0)
-    assert np.all(prof.h(u) > 0.0)
-    assert np.all(prof.H(u) >= 1.0)
-    assert np.all(prof.beta(u) < 0.0)
+    assert np.all(geom.f(u) >= 1.0)
+    assert np.all(geom.h(u) > 0.0)
+    assert np.all(geom.H(u) >= 1.0)
+    assert np.all(geom.beta(u) < 0.0)
     # at u = R - 1 the Robin coefficient is exactly -(tanh 1 + coth 1)
     expected = -(math.tanh(1.0) + 1.0 / math.tanh(1.0))
-    assert prof.beta(geom.R - 1.0) == pytest.approx(expected, rel=1e-15)
+    assert geom.beta(geom.R - 1.0) == pytest.approx(expected, rel=1e-15)
 
 
 def test_profile_domain_guard():
     geom = TubeGeometry(R=4.0, r0=0.0, R0=3.0,
                         epsilon=math.exp(-8.0), rho=math.exp(-4.0))
-    prof = WarpedProfile(geom)
     with pytest.raises(ValueError):
-        prof.h(4.0)
-    assert prof.f(4.0) == 1.0  # f is defined through u = R
+        geom.h(4.0)
+    assert geom.f(4.0) == 1.0  # f is defined through u = R
 
 
 @settings(max_examples=50, deadline=None)
@@ -130,13 +126,12 @@ def test_profile_domain_guard():
 def test_profile_identities_hold_for_random_geometries(R, frac):
     geom = TubeGeometry(R=R, epsilon=math.exp(-2 * R), rho=0.0,
                         r0=frac * (R - 1.0), R0=R - 1.0)
-    prof = WarpedProfile(geom)
     u = np.linspace(geom.r0, geom.R0, 17)
     x = R - u
-    assert np.allclose(prof.H(u), 0.5 * (np.tanh(x) + 1.0 / np.tanh(x)),
+    assert np.allclose(geom.H(u), 0.5 * (np.tanh(x) + 1.0 / np.tanh(x)),
                        rtol=1e-13)
-    assert np.all(prof.beta(u) == -2.0 * prof.H(u))
-    assert np.all(prof.f(u) >= 1.0) and np.all(prof.h(u) > 0.0)
+    assert np.all(geom.beta(u) == -2.0 * geom.H(u))
+    assert np.all(geom.f(u) >= 1.0) and np.all(geom.h(u) > 0.0)
 
 
 def test_schedule_json_round_trip():

@@ -7,7 +7,7 @@ import pytest
 
 import tubespec.tube_spectrum as ts
 from tubespec.cli import main
-from tubespec.geometry import DegenerationSchedule, WarpedProfile, schedule_instantiate
+from tubespec.geometry import DegenerationSchedule, schedule_instantiate
 from tubespec.sturm_liouville import SpectrumResult, solve_cross_validated, spectral_floor
 from tubespec.torus_modes import ModeIndex, kappa_value
 from tubespec.tube_spectrum import (
@@ -15,7 +15,6 @@ from tubespec.tube_spectrum import (
     SweepOptions,
     SweepRow,
     TubeSpectrum,
-    TubeSpectrumRequest,
     assemble_mode_problem,
     find_r0,
     sweep_csv_rows,
@@ -38,8 +37,7 @@ def tube6():
 
 @pytest.fixture(scope="module")
 def spectrum6(tube6):
-    return tube_absolute_spectrum(
-        TubeSpectrumRequest(geometry=tube6, lambda_max=10.0))
+    return tube_absolute_spectrum(tube6, SweepOptions(lambda_max=10.0))
 
 
 def test_find_r0_reference_tubes():
@@ -101,10 +99,9 @@ def test_find_r0_raises_on_a_floor_that_does_not_clear(monkeypatch):
 
 
 def test_assemble_abs1_matches_profile_beta(tube6):
-    prof = WarpedProfile(tube6)
     p = assemble_mode_problem(ModeIndex(1, 0), tube6, "Abs1")
-    assert p.bc_left.beta == pytest.approx(float(prof.beta(tube6.r0)))
-    assert p.bc_right.beta == pytest.approx(float(prof.beta(tube6.R0)))
+    assert p.bc_left.beta == pytest.approx(float(tube6.beta(tube6.r0)))
+    assert p.bc_right.beta == pytest.approx(float(tube6.beta(tube6.R0)))
     assert p.m0 == tube6.r0 and p.m1 == tube6.R0
 
 
@@ -127,8 +124,8 @@ def test_assemble_rejects_merged_family(tube6):
 def test_zero_mode_dirichlet_is_classical(tube6):
     # kappa vanishes for (0, 0), so Abs2 is the free Dirichlet string on
     # [r0, R0] and the window keeps (k pi / L)^2 for k = 1, 2
-    spec = tube_absolute_spectrum(TubeSpectrumRequest(
-        geometry=tube6, lambda_max=2.0, include_zero_mode=True, family="Abs2"))
+    spec = tube_absolute_spectrum(tube6, SweepOptions(
+        lambda_max=2.0, include_zero_mode=True, family="Abs2"))
     L = tube6.R0 - tube6.r0
     want = [(k * math.pi / L) ** 2 for k in (1, 2)]
     got = [e.eigenvalue for e in spec.entries]
@@ -139,12 +136,11 @@ def test_zero_mode_dirichlet_is_classical(tube6):
 
 
 def test_zero_mode_included_only_on_request(tube6):
-    spec = tube_absolute_spectrum(TubeSpectrumRequest(
-        geometry=tube6, lambda_max=2.0, include_zero_mode=True))
+    spec = tube_absolute_spectrum(tube6, SweepOptions(
+        lambda_max=2.0, include_zero_mode=True))
     assert any(e.mode.is_zero for e in spec.entries)
     assert all(e.mode.is_zero for e in spec.entries)  # off-zero floors exceed 2
-    default = tube_absolute_spectrum(TubeSpectrumRequest(
-        geometry=tube6, lambda_max=2.0))
+    default = tube_absolute_spectrum(tube6, SweepOptions(lambda_max=2.0))
     assert default.entries == ()
     assert default.min_positive_offzero is None
 
@@ -190,30 +186,64 @@ def test_merged_matches_single_family_solve(tube6):
     # the merged spectrum must agree with solving the (1, 0) problem directly
     p = assemble_mode_problem(ModeIndex(1, 0), tube6, "Abs1")
     direct = solve_cross_validated(p, (0.0, 10.0), grid_n=2048, phase_tol=1e-7)
-    spec = tube_absolute_spectrum(TubeSpectrumRequest(
-        geometry=tube6, lambda_max=10.0, family="Abs1"))
+    spec = tube_absolute_spectrum(tube6, SweepOptions(
+        lambda_max=10.0, family="Abs1"))
     merged = [e.eigenvalue for e in spec.entries if e.mode == ModeIndex(1, 0)]
     assert merged == list(direct.eigenvalues)
 
 
 def test_dirichlet_family_lies_above_robin(tube6):
-    spec = tube_absolute_spectrum(TubeSpectrumRequest(
-        geometry=tube6, lambda_max=10.0, family="Abs2"))
+    spec = tube_absolute_spectrum(tube6, SweepOptions(
+        lambda_max=10.0, family="Abs2"))
     # removing the attractive boundary terms pushes everything past the window
     assert spec.entries == ()
 
 
-def test_request_validation(tube6):
+def test_request_validation():
     with pytest.raises(ValueError, match="lambda_max"):
-        TubeSpectrumRequest(geometry=tube6, lambda_max=-1.0)
+        SweepOptions(lambda_max=-1.0)
     with pytest.raises(ValueError, match="family"):
-        TubeSpectrumRequest(geometry=tube6, lambda_max=2.0, family="Abs3")
-    with pytest.raises(ValueError, match="r0"):
-        TubeSpectrumRequest(geometry=_tube(6.0), lambda_max=2.0)
+        SweepOptions(lambda_max=2.0, family="Abs3")
     with pytest.raises(ValueError, match="include_zero_mode"):
-        TubeSpectrumRequest(geometry=tube6, lambda_max=2.0, include_zero_mode="false")
-    with pytest.raises(ValueError, match="include_zero_mode"):
-        SweepOptions(include_zero_mode="false")
+        SweepOptions(lambda_max=2.0, include_zero_mode="false")
+    options = SweepOptions(threshold=5, lambda_max=2, family="Abs1",
+                           include_zero_mode=np.bool_(True))
+    assert [type(v) for v in (options.threshold, options.lambda_max,
+                              options.include_zero_mode)] == [float, float, bool]
+    assert options.families == ("Abs1",)
+    assert SweepOptions().families == ("Abs1", "Abs2")
+
+
+def test_spectrum_without_r0_names_find_r0():
+    with pytest.raises(ValueError, match="find_r0"):
+        tube_absolute_spectrum(_tube(6.0), SweepOptions(lambda_max=2.0))
+
+
+def test_sweep_hands_its_options_to_the_spectrum(monkeypatch):
+    seen = []
+    real = ts.tube_absolute_spectrum
+
+    def recording(geometry, options):
+        seen.append(options)
+        return real(geometry, options)
+
+    monkeypatch.setattr(ts, "tube_absolute_spectrum", recording)
+    options = SweepOptions(lambda_max=2.0, family="Abs1")
+    rows = sweep(DegenerationSchedule(R_grid=(6.0, 8.0)), options)
+    assert all(row.ok for row in rows)
+    assert len(seen) == 2 and all(o is options for o in seen)
+
+
+def test_sweep_keeps_an_unbuildable_geometry_as_a_row():
+    # epsilon = D1 e^{-2R} underflows to 0 at R = 400, so TubeGeometry
+    # refuses it; the R = 6 row must survive
+    rows = sweep(DegenerationSchedule(R_grid=(6.0, 400.0)),
+                 SweepOptions(lambda_max=10.0))
+    assert [row.R for row in rows] == [6.0, 400.0]
+    good, bad = rows
+    assert good.min_positive_offzero == pytest.approx(5.308505705869899, rel=1e-7)
+    assert not bad.ok and bad.spectrum is None
+    assert bad.failure == "epsilon must be positive, got 0.0"
 
 
 def test_spectrum_container_requires_sorted_entries(spectrum6):
@@ -272,13 +302,12 @@ def _below_floor(depth):
 def test_eigenvalue_below_floor_raises(tube6, monkeypatch):
     monkeypatch.setattr(ts, "solve_cross_validated", _below_floor(2e-6))
     with pytest.raises(FloorViolation, match="quadratic-form floor"):
-        tube_absolute_spectrum(TubeSpectrumRequest(geometry=tube6, lambda_max=10.0))
+        tube_absolute_spectrum(tube6, SweepOptions(lambda_max=10.0))
 
 
 def test_eigenvalue_within_floor_slack_passes(tube6, monkeypatch):
     monkeypatch.setattr(ts, "solve_cross_validated", _below_floor(0.5e-6))
-    spectrum = tube_absolute_spectrum(
-        TubeSpectrumRequest(geometry=tube6, lambda_max=10.0))
+    spectrum = tube_absolute_spectrum(tube6, SweepOptions(lambda_max=10.0))
     assert spectrum.entries
     for e in spectrum.entries:
         problem = assemble_mode_problem(e.mode, tube6, e.family)
