@@ -17,7 +17,10 @@ bracket is used only after phase evaluations at its ends show the sign
 change; otherwise it is widened, up to the whole window.  The phase is
 monotone in lambda, so every accepted bracket holds the same unique root:
 seeds save phase evaluations but cannot change which roots shooting finds,
-and the window count still comes from the right-end phase alone.
+and the window count still comes from the right-end phase alone.  Inside
+the bracket an in-house Brent's method finds the root: a port of
+scipy.optimize.brentq that returns the same float, so no run loads
+scipy.optimize.
 
 The piecewise-frozen propagation replaces naive Runge-Kutta stepping of the
 phase ODE: the tube potentials reach ~1e8 where any explicit stepper needs
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .jsonio import check_fields, check_float
 
@@ -506,22 +508,88 @@ def _fd_guesses(fd_seeds, js) -> dict:
             zip(js, fd_seeds.eigenvalues, fd_seeds.error_estimate)}
 
 
+_RTOL = 8.9e-16
+_MAXITER = 100
+
+
+def _brentq(f, xpre, xcur, fpre, fcur, xtol):
+    """Root of f between xpre and xcur, given fpre = f(xpre) and fcur = f(xcur).
+
+    Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), ported from scipy.optimize.brentq's C routine
+    operation for operation, so it returns the float brentq returns with
+    rtol=_RTOL.  It stops when half the bracket is below (xtol + _RTOL |x|) / 2.
+    ValueError on a NaN value of f or on ends of one sign; RuntimeError after
+    _MAXITER iterations.
+    """
+    xpre, xcur, fpre, fcur = float(xpre), float(xcur), float(fpre), float(fcur)
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN")
+    raise RuntimeError(f"failed to converge after {_MAXITER} iterations")
+
+
 def _bracketed_root(f, lo, hi, guess, xtol):
     """Root of the increasing f in [lo, hi], searched near guess=(g, w) first.
 
-    None when f shows no sign change even over the whole of [lo, hi].
+    None when f shows no sign change even over the whole of [lo, hi].  The
+    root comes from _brentq, given the values of f at the accepted bracket.
     """
     a, b = lo, hi
     if guess is not None:
         g = min(max(guess[0], lo), hi)
         w = max(guess[1], _MIN_WIDTH * max(1.0, abs(g)))
         a, b = max(lo, g - w), min(hi, g + w)
-    while not f(a) <= 0.0 <= f(b):
+    while not (fa := f(a)) <= 0.0 <= (fb := f(b)):
         if a == lo and b == hi:
             return None
         w *= _WIDEN
         a, b = max(lo, g - w), min(hi, g + w)
-    return brentq(f, a, b, xtol=xtol, rtol=8.9e-16)
+    return _brentq(f, a, b, fa, fb, xtol)
 
 
 def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,

@@ -44,6 +44,26 @@ def test_no_subcommand_is_input_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17")
+def test_sl_solve_is_not_fooled_by_an_aliased_potential(tmp_path):
+    # q = 10 + 5 cos(1024 u) equals 15 at every midpoint of shooting's meshes
+    # 64 and 128 and at every node of FD's meshes 256 and 512, so both solvers
+    # agree on the spectrum of q = 15; the true eigenvalues are about 10 + j^2
+    doc = {**SL_CONFIG, "grid_n": 256, "method": "cross"}
+    doc["problem"] = {**SL_CONFIG["problem"], "q": {
+        "type": "fourier", "period": math.pi, "a0": 10.0, "cos": [0.0] * 511 + [5.0]}}
+    cfg = _write_config(tmp_path, doc)
+    code = main(["sl-solve", "--config", cfg, "--out", str(tmp_path)])
+    if code == 1:
+        return
+    assert code == 0
+    res = _read_json(tmp_path, "sl_solve.json")["results"]["cross_validated"]
+    assert len(res["eigenvalues"]) == 4
+    for got, want, err in zip(res["eigenvalues"], (11, 14, 19, 26),
+                              res["error_estimate"]):
+        assert abs(got - want) <= err
+
+
 def test_sl_solve_cross_records_three_result_sets(tmp_path):
     cfg = _write_config(tmp_path, SL_CONFIG)
     assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -34,6 +34,26 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_no_import_of_scipy_optimize_integrate_or_special_in_src():
+    # on top of scipy.linalg, scipy.optimize costs 18 MB and 0.19 s at every
+    # start and scipy.integrate 22 MB and 0.26 s; scipy.special, which both
+    # load, would be a first step back towards them
+    banned = ("scipy.optimize", "scipy.integrate", "scipy.special")
+    found = []
+    for path in sorted(Path(tubespec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names]
+            else:
+                continue
+            if any(n == b or n.startswith(b + ".") for n in names for b in banned):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_benchmark_trace_targets_exist(monkeypatch):
     # perfbench/spans.py wraps these by name and rebinds the module globals
     # bound to them; a refactor that renames or re-imports one breaks traced

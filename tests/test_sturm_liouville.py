@@ -430,6 +430,121 @@ def test_no_sign_change_of_the_matched_phase_is_a_runtime_error(monkeypatch):
         solve_shooting(_dirichlet_q0(), (0.0, 30.0))
 
 
+def _increasing(kind, r, c, w):
+    """An increasing function with f(r) == 0 exactly."""
+    if kind == "tanh":
+        return lambda x: c * (x - r) + math.tanh(x - r)
+    if kind == "cubic":
+        return lambda x: (x - r) ** 3 + c * (x - r)
+    return lambda x: math.atan((x - r) / w)
+
+
+_KINDS = st.sampled_from(["tanh", "cubic", "arctan"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=_KINDS, r=st.floats(-5.0, 5.0), c=st.floats(0.01, 10.0),
+       w_exp=st.floats(-12.0, -2.0), left=st.floats(1e-3, 5.0),
+       right=st.floats(1e-3, 5.0), zero_end=st.sampled_from([None, "left", "right"]),
+       xtol_exp=st.floats(-15.0, -3.0))
+def test_brent_port_returns_the_float_of_scipy_brentq(kind, r, c, w_exp, left, right,
+                                                      zero_end, xtol_exp):
+    from scipy.optimize import brentq
+    import tubespec.sturm_liouville as sl
+    f = _increasing(kind, r, c, 10.0 ** w_exp)
+    a = r if zero_end == "left" else r - left
+    b = r if zero_end == "right" else r + right
+    xtol = 10.0 ** xtol_exp
+    want = brentq(f, a, b, xtol=xtol, rtol=sl._RTOL)
+    assert sl._brentq(f, a, b, f(a), f(b), xtol) == want
+
+
+def _searches(a, b, xtol):
+    """scipy's brentq and the port, each run on a function g."""
+    from scipy.optimize import brentq
+    import tubespec.sturm_liouville as sl
+    return (lambda g: brentq(g, a, b, xtol=xtol, rtol=sl._RTOL),
+            lambda g: sl._brentq(g, a, b, g(a), g(b), xtol))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=_KINDS, r=st.floats(-5.0, 5.0), c=st.floats(0.01, 10.0),
+       w_exp=st.floats(-12.0, -2.0), xtol_exp=st.floats(-15.0, -3.0),
+       draw=st.integers(0, 1 << 20))
+def test_brent_port_raises_value_error_on_a_nan_at_any_evaluation(kind, r, c, w_exp,
+                                                                  xtol_exp, draw):
+    f = _increasing(kind, r, c, 10.0 ** w_exp)
+    a, b, xtol = r - 1.0, r + 2.0, 10.0 ** xtol_exp
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    _searches(a, b, xtol)[1](counted)
+    nan_at = draw % len(calls)
+
+    def poisoned():
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return math.nan if len(seen) == nan_at + 1 else f(x)
+        return g
+
+    for search in _searches(a, b, xtol):
+        with pytest.raises(ValueError, match="NaN"):
+            search(poisoned())
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (-2.0, -1.0)])
+def test_brent_port_rejects_ends_of_one_sign(a, b):
+    for search in _searches(a, b, 1e-12):
+        with pytest.raises(ValueError, match="different signs"):
+            search(lambda x: x)
+
+
+def test_brent_port_raises_runtime_error_after_100_iterations():
+    # a sign step at 0.1 bisected from a width of 2e30: about 150 halvings
+    # reach the tolerance, 100 do not
+    for search in _searches(-1e30, 1e30, 1e-300):
+        with pytest.raises(RuntimeError, match="converge"):
+            search(lambda x: -1.0 if x < 0.1 else 1.0)
+
+
+def test_solves_leave_no_reference_cycles(tmp_path):
+    # A cycle keeps a solve's phase engine and its mesh arrays alive until
+    # the cyclic collector runs; scipy.optimize.brentq's NaN wrapper left one
+    # in every root search.
+    import gc
+    import json
+    from tubespec.cli import main
+    p = problem_from_json({
+        "m0": 0.0, "m1": 2.0,
+        "q": {"type": "fourier", "period": 2.0 * math.pi, "a0": 1.961,
+              "cos": [0.0, -0.439, -0.014], "sin": [0.501, 0.0, -0.026]},
+        "bc_left": {"kind": "dirichlet"}, "bc_right": {"kind": "robin", "beta": 1.385}})
+    window = (0.0, 12.0)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"R_grid": [6.0], "lambda_max": 10}), encoding="utf-8")
+    argv = ["tube-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    runs = [lambda: solve_shooting(p, window),
+            lambda: solve_cross_validated(p, window),
+            lambda: main(argv)]
+    for run in runs:
+        run()
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for run in runs:
+            run()
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found == [0, 0, 0]
+
+
 def test_fd_assembly_rejects_non_finite_potential():
     import tubespec.sturm_liouville as sl
     # finite on the 65 validation samples, infinite at the node u = 1/6

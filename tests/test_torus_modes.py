@@ -1,5 +1,6 @@
 """Fiber eigenvalues on the twisted torus: values, minima, mode identities."""
 
+import json
 import math
 import os
 import subprocess
@@ -287,14 +288,29 @@ def test_verify_identities_sees_a_modulus_that_varies_in_t(monkeypatch):
     assert not rep["passed"]
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    code = ("import sys, tubespec.cli; "
-            "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)")
+def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
+    # every subcommand runs once on its golden config in a fresh interpreter,
+    # so a lazy import inside a solve would show too
+    from test_golden import CASES
+    argvs = []
+    for i, (_, sub, config, _) in enumerate(CASES):
+        argv = [sub, "--out", str(tmp_path / f"out{i}")]
+        if config is not None:
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(path)]
+        argvs.append(argv)
+    code = ("import json, sys, tubespec.cli; "
+            "codes = [tubespec.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})]))")
     env = dict(os.environ, PYTHONPATH=str(Path(tubespec.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    # scipy.optimize is loaded, so scipy itself is not what keeps integrate out
-    assert out == ["False", "True"]
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    codes, subpackages = json.loads(out.splitlines()[-1])
+    assert codes == [case[3] for case in CASES]
+    # scipy.linalg is loaded, so the probe sees scipy's subpackages at all
+    assert subpackages == ["linalg", "version"]
 
 
 def test_verify_identities_r10_mode():
