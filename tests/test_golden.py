@@ -47,6 +47,9 @@ CASES = [
     ("s1-dissect", "s1-dissect", None, 0),
     ("compare-ode/A.1", "compare-ode", {"suite": "A.1", "count": 3}, 0),
     ("compare-ode/A.2", "compare-ode", {"suite": "A.2", "count": 3}, 0),
+    # the benchmark's sizes at the default seed
+    ("compare-ode/A.1-count20", "compare-ode", {"suite": "A.1", "count": 20}, 0),
+    ("compare-ode/A.2-count10", "compare-ode", {"suite": "A.2", "count": 10}, 0),
     ("berger-curve", "berger-curve", None, 0),
 ]
 
