@@ -12,8 +12,10 @@ started from the same initial data, in three assertable senses:
 All three are checked by direct integration: classical fixed-step RK4 run at
 h and h/2, with the halving disagreement as the acceptance test and the
 closed-form v (cosh/sinh combination) as an independent integrator check on
-every run.  q is sampled once per node and midpoint before the RK4 loops
-start, and the coarse run shares the fine run's even nodes.  The seeded
+every run.  q maps an array of points to an array, as SLProblem.q does;
+integrate_pair samples it with three calls (the fine nodes, the fine
+midpoints and the coarse midpoints) before the RK4 loops start, and the
+coarse run shares the fine run's even nodes.  The seeded
 suites at the bottom generate randomized valid cases and produce JSON-ready
 reports; they back the command line runner.
 """
@@ -47,22 +49,29 @@ _DENOM_GUARD = 1e-10
 _RICCATI_TOL = 1e-8
 _SLOPE_TOL = 1e-6
 _GROWTH_TOL = 1e-8
-# cases per suite run: each A.1 or A.2 case takes about 12 ms (2-core VM),
-# so the limit is about 12 s of work
+# cases per suite run: each A.1 or A.2 case takes about 6.5 ms (2-core VM),
+# so the limit is about 6.5 s of work
 MAX_SUITE_COUNT = 1000
+# cells of the coarse RK4 mesh, ceil((m1 - m0) / step); the fine run takes
+# twice as many.  One integrate_pair at 2^18 cells took 1.1 s and raised the
+# peak RSS by 135 MB (2-core VM), both linear in the cells; FD and shooting
+# stop at the same size (sturm_liouville.MAX_FD_GRID_N)
+MAX_RK4_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
 class ComparisonCase:
     """One instance of the comparison problem.
 
-    q must satisfy inf q > k^2 on [m0, m1] (checked on a dense sample);
+    q maps an array of u to an array of the same shape, the contract of
+    SLProblem.q, and must satisfy inf q > k^2 on [m0, m1] (checked on a
+    dense sample); step must not ask for more than MAX_RK4_CELLS cells;
     alpha is the starting slope coefficient a'(m0) = -alpha for the Robin
     start and must not exceed k.  `relaxed` admits inf q == k^2, which the
     propositions exclude but the equality test case needs.
     """
 
-    q: Callable[[float], float]
+    q: Callable[[np.ndarray], np.ndarray]
     k: float
     alpha: float
     m0: float
@@ -75,12 +84,21 @@ class ComparisonCase:
             raise ValueError("k must be positive and finite")
         if not (math.isfinite(self.alpha) and self.alpha <= self.k):
             raise ValueError("alpha must be finite and <= k")
+        if not (math.isfinite(self.m0) and math.isfinite(self.m1)):
+            raise ValueError("interval endpoints must be finite")
         if not (self.m1 - self.m0 >= 1e-6):
             raise ValueError("need m1 - m0 >= 1e-6")
         if not (0 < self.step <= self.m1 - self.m0):
             raise ValueError("step must lie in (0, m1 - m0]")
-        u = np.linspace(self.m0, self.m1, _INF_SAMPLES)
-        qs = np.array([float(self.q(x)) for x in u])
+        # ceil(x) > MAX_RK4_CELLS exactly when x > MAX_RK4_CELLS, and x may
+        # overflow to inf for a subnormal step
+        cells = (self.m1 - self.m0) / self.step
+        if cells > MAX_RK4_CELLS:
+            shown = math.ceil(cells) if math.isfinite(cells) else cells
+            raise ValueError(f"step={self.step} makes {shown} RK4 cells on "
+                             f"[{self.m0}, {self.m1}], above the limit of "
+                             f"{MAX_RK4_CELLS}")
+        qs = _sample(self.q, np.linspace(self.m0, self.m1, _INF_SAMPLES))
         if not np.all(np.isfinite(qs)):
             raise ValueError("q is not finite on the interval")
         floor = float(qs.min()) - self.k**2
@@ -89,6 +107,16 @@ class ComparisonCase:
                 raise ValueError(f"inf q - k^2 = {floor} < 0 even relaxed")
         elif floor <= 0:
             raise ValueError(f"need inf q > k^2, got inf q - k^2 = {floor}")
+
+
+def _sample(q, u: np.ndarray) -> np.ndarray:
+    """q at the points u, in one call; q must keep the shape of u."""
+    values = np.asarray(q(u), dtype=float)
+    if values.shape != u.shape:
+        raise ValueError(
+            f"q must map an array of points to an array of the same shape, "
+            f"got shape {values.shape} for {u.shape}")
+    return values
 
 
 def _rk4(c_node, c_mid, y0, h: float, n: int) -> np.ndarray:
@@ -193,12 +221,13 @@ def integrate_pair(case: ComparisonCase, mode: str) -> PairTrajectories:
     h_fine = (case.m1 - case.m0) / (2 * n)
     # h_fine is h / 2 exactly, so fine node 2i is coarse node i bit for bit
     # and q is sampled once per node; only the coarse midpoints are extra.
-    # Node 0 is m0 itself: m0 + 0 * h would turn -0.0 into 0.0
-    nodes = [case.m0] + [case.m0 + j * h_fine for j in range(1, 2 * n + 1)]
-    q = case.q
-    q_node = [q(u) for u in nodes]
-    q_mid = [q(u + 0.5 * h_fine) for u in nodes[:-1]]
-    q_mid_coarse = [q(u + 0.5 * h) for u in nodes[:-1:2]]
+    # Node j is m0 + j * h_fine, but node 0 is m0 itself: m0 + 0 * h would
+    # turn -0.0 into 0.0
+    nodes = case.m0 + np.arange(2 * n + 1) * h_fine
+    nodes[0] = case.m0
+    q_node = _sample(case.q, nodes).tolist()
+    q_mid = _sample(case.q, nodes[:-1] + 0.5 * h_fine).tolist()
+    q_mid_coarse = _sample(case.q, nodes[:-1:2] + 0.5 * h).tolist()
     ksq = [case.k**2] * (2 * n + 1)
 
     coarse_a = _rk4(q_node[::2], q_mid_coarse, y0, h, n)
@@ -308,8 +337,8 @@ def _draw_case(rng: np.random.Generator, index: int, horizon_over_k: float) -> t
     alpha = k if index == 0 else float(k * rng.uniform(-0.5, 1.0))
     ksq = k * k
 
-    def q(u: float, _a=amp, _o=offset, _w=omega, _p=phase, _k2=ksq) -> float:
-        return _k2 + _a * (_o + math.sin(_w * u + _p))
+    def q(u, _a=amp, _o=offset, _w=omega, _p=phase, _k2=ksq):
+        return _k2 + _a * (_o + np.sin(_w * u + _p))
 
     m0, m1 = 0.0, horizon_over_k / k
     case = ComparisonCase(q=q, k=k, alpha=alpha, m0=m0, m1=m1,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tubespec.ode_compare import (
+    MAX_RK4_CELLS,
     MODES,
     ComparisonCase,
     a1_suite_report,
@@ -19,7 +20,7 @@ from tubespec.ode_compare import (
 
 
 def _const_case(qval, k, alpha=0.0, m0=0.0, m1=8.0, n=1024, **kw):
-    return ComparisonCase(q=lambda u: float(qval), k=k, alpha=alpha,
+    return ComparisonCase(q=lambda u: np.full_like(u, qval), k=k, alpha=alpha,
                           m0=m0, m1=m1, step=(m1 - m0) / n, **kw)
 
 
@@ -103,7 +104,7 @@ def test_dirichlet_growth_delta_sweep():
 
 def test_step_instability_is_reported():
     # 16 RK4 steps across 60 oscillations cannot hold 1e-7
-    wobble = ComparisonCase(q=lambda u: 25.0 + 10.0 * math.sin(40.0 * u),
+    wobble = ComparisonCase(q=lambda u: 25.0 + 10.0 * np.sin(40.0 * u),
                             k=1.0, alpha=0.0, m0=0.0, m1=10.0, step=10.0 / 16.0)
     for mode in MODES:
         with pytest.raises(RuntimeError, match="step instability") as got:
@@ -122,8 +123,10 @@ def test_case_validation():
     with pytest.raises(ValueError, match="m1 - m0"):
         _const_case(5.0, 2.0, m1=1e-9)
     with pytest.raises(ValueError, match="step"):
-        ComparisonCase(q=lambda u: 5.0, k=2.0, alpha=0.0,
+        ComparisonCase(q=lambda u: np.full_like(u, 5.0), k=2.0, alpha=0.0,
                        m0=0.0, m1=1.0, step=2.0)
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        _const_case(5.0, 2.0, m1=math.inf)
     with pytest.raises(ValueError, match="not finite"):
         _const_case(math.inf, 2.0)
     with pytest.raises(ValueError, match="even relaxed"):
@@ -186,7 +189,7 @@ def test_tube_mode_potential_feeds_comparison():
         assert count_below(problem, 1.0) == 0
 
     problem = assemble_mode_problem(ModeIndex(1, 0), geom, "Abs2")
-    case = ComparisonCase(q=lambda u: float(problem.q(u)), k=2.0, alpha=0.0,
+    case = ComparisonCase(q=problem.q, k=2.0, alpha=0.0,
                           m0=problem.m0, m1=problem.m0 + 1.0,
                           step=1.0 / 1024.0)
     assert verify_riccati(case)["passed"]
@@ -228,9 +231,15 @@ def _callback_rk4(f, y0, m0: float, m1: float, n: int):
 
 
 def _reference_pair(case, mode):
-    """integrate_pair's arrays and diagnostics from the per-stage callback RK4."""
+    """integrate_pair's arrays and diagnostics from the per-stage callback RK4.
+
+    Each stage evaluates q at its own point, one point per call.
+    """
     y0 = (1.0, -case.alpha) if mode == "RobinStart" else (0.0, 1.0)
-    q, ksq = case.q, case.k**2
+    ksq = case.k**2
+
+    def q(u):
+        return float(case.q(np.array([u]))[0])
 
     def f_a(u, a, b):
         return (b, q(u) * a)
@@ -272,7 +281,7 @@ def _wavy_case(rng, m0, cells, ragged):
     # a ragged step leaves a partial cell that ceil rounds up to a whole one
     step = (m1 - m0) / (cells - 0.37) if ragged else (m1 - m0) / cells
     return ComparisonCase(
-        q=lambda u: k * k + amp * (1.5 + math.sin(omega * u + phase)),
+        q=lambda u: k * k + amp * (1.5 + np.sin(omega * u + phase)),
         k=k, alpha=float(k * rng.uniform(-0.5, 1.0)), m0=m0, m1=m1, step=step)
 
 
@@ -283,6 +292,9 @@ def test_integrate_pair_matches_callback_rk4_bit_for_bit(mode):
              for m0 in (0.0, -0.0, 1.7, -2.3)
              for cells, ragged in ((400, False), (999, True), (3000, False))]
     cases.append(_const_case(4.0, 2.0, m0=-0.0, relaxed=True))
+    # a q that reads the sign of zero sees node 0 = m0 = -0.0 on both sides
+    cases.append(ComparisonCase(q=lambda u: 5.0 + 1e-9 * np.signbit(u), k=2.0,
+                                alpha=0.0, m0=-0.0, m1=8.0, step=8.0 / 1024))
     for case in cases:
         got = integrate_pair(case, mode)
         for name, want in _reference_pair(case, mode).items():
@@ -293,18 +305,75 @@ def test_integrate_pair_matches_callback_rk4_bit_for_bit(mode):
 
 @pytest.mark.parametrize("cells", [64, 257, 2048])
 def test_integrate_pair_samples_q_at_most_once_per_node_and_midpoint(cells):
-    # 2n + 1 fine nodes, 2n fine midpoints and n coarse midpoints; the
-    # coarse nodes are the even fine nodes.  Four calls per RK4 step on the
-    # coarse and fine runs would make 12n.
+    # one call each for the 2n + 1 fine nodes, the 2n fine midpoints and the
+    # n coarse midpoints; the coarse nodes are the even fine nodes.  Four
+    # points per RK4 step on the coarse and fine runs would make 12n.
     calls = []
 
     def q(u):
-        calls.append(u)
-        return 5.0 + math.sin(u)
+        calls.append(u.size)
+        return 5.0 + np.sin(u)
 
     case = ComparisonCase(q=q, k=2.0, alpha=0.0, m0=0.0, m1=1.0,
                           step=1.0 / cells)
+    assert len(calls) == 1
     for mode in MODES:
         calls.clear()
         integrate_pair(case, mode)
-        assert 0 < len(calls) <= 5 * cells + 1
+        assert len(calls) <= 3
+        assert 0 < sum(calls) <= 5 * cells + 1
+
+
+def test_scalar_potential_is_refused():
+    with pytest.raises(ValueError, match="array of the same shape"):
+        ComparisonCase(q=lambda u: 5.0, k=2.0, alpha=0.0, m0=0.0, m1=1.0,
+                       step=1.0 / 64)
+
+
+def test_rk4_mesh_is_bounded():
+    # refused at construction, before q is sampled or any mesh is built
+    def q(u):
+        raise AssertionError("q sampled for a refused case")
+
+    over = 1.0 / (MAX_RK4_CELLS + 0.5)
+    with pytest.raises(ValueError, match=f"{MAX_RK4_CELLS + 1} RK4 cells"):
+        ComparisonCase(q=q, k=2.0, alpha=0.0, m0=0.0, m1=1.0, step=over)
+    with pytest.raises(ValueError, match="above the limit"):
+        ComparisonCase(q=q, k=2.0, alpha=0.0, m0=0.0, m1=1.0, step=1e-12)
+    with pytest.raises(ValueError, match="inf RK4 cells"):
+        ComparisonCase(q=q, k=2.0, alpha=0.0, m0=0.0, m1=1.0, step=5e-324)
+    # asymptotic_slope's longer interval is bounded the same way
+    case = _const_case(5.0, 2.0, m1=1.0, n=MAX_RK4_CELLS)
+    with pytest.raises(ValueError, match="above the limit"):
+        asymptotic_slope(case, 6.0)
+
+
+@pytest.mark.parametrize("suite,count,horizon", [("A.1", 20, 10.0),
+                                                 ("A.2", 10, 8.0)])
+@pytest.mark.parametrize("seed", [1, 7, 17])
+def test_suite_potential_sampled_as_arrays_equals_pointwise(suite, count,
+                                                           horizon, seed):
+    # The reports' bytes rest on numpy's sin agreeing with math.sin on every
+    # point that integrate_pair samples; a build where they differ fails here
+    from dataclasses import replace
+
+    from tubespec.ode_compare import _draw_case
+
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        case, p = _draw_case(rng, i, horizon_over_k=horizon)
+        grids = []
+
+        def recording(u, q=case.q):
+            values = q(u)
+            grids.append((u.copy(), values.copy()))
+            return values
+
+        integrate_pair(replace(case, q=recording), "RobinStart")
+        assert len(grids) == 4  # the construction sample and three grids
+        for u, got in grids:
+            want = np.array([p["k"] * p["k"] + p["amp"] * (
+                p["offset"] + math.sin(p["omega"] * x + p["phase"]))
+                for x in u.tolist()])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+                suite, seed, i)
