@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dissection import (CoverSpec, c_rho_from_partition, cover_to_json,
                          laplacian_bound)
@@ -294,7 +293,10 @@ def verify_minimax(cx: DiracComplexMatrix, i: int) -> dict:
     chi = pinv_d @ L                          # minimal-norm preimages
     A = L.T @ L
     B = chi.T @ chi
-    quot = scipy.linalg.eigh(A, B, eigvals_only=True)
+    # the generalized problem A x = q B x, reduced with B = C C^T to the
+    # standard one of inv(C) A inv(C)^T
+    c = np.linalg.inv(np.linalg.cholesky(B))
+    quot = np.linalg.eigvalsh(c @ A @ c.T)
     sup_quot = float(np.max(quot))
     facet_b = abs(sup_quot - lam_i) <= 1e-8 * max(1.0, lam_i)
     return {

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .jsonio import check_fields, check_float
 
@@ -235,7 +234,13 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     Selection happens on the finer mesh (half-open window (lo, hi]); the
     coarse mesh supplies the matching global-index eigenvalues for the
     Richardson combination (4 l_2n - l_n)/3 and the error |l_2n - l_n|/3.
+
+    scipy.linalg is imported here, not at module level: this is its only
+    caller in the package, loading it costs a process about 0.17 s and
+    28 MB, and bound, s1-dissect and compare-ode never need it.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if grid_n > MAX_FD_GRID_N:
@@ -789,11 +794,12 @@ def attractive_boundary_constant(problem: SLProblem) -> float:
     return C
 
 
-def spectral_floor(problem: SLProblem, inf_q: float | None = None) -> float:
-    """inf q - C(beta); pass inf_q when it is known exactly."""
-    if inf_q is None:
-        inf_q = float(np.min(problem.q_values(
-            np.linspace(problem.m0, problem.m1, 4097))))
+def spectral_floor(problem: SLProblem, inf_q: float) -> float:
+    """inf q - C(beta), a lower bound on the spectrum.
+
+    inf_q must be inf q over [m0, m1] or a proven lower bound on it: the
+    minimum of samples of q can lie above the infimum, and is no floor.
+    """
     return inf_q - attractive_boundary_constant(problem)
 
 

@@ -95,7 +95,8 @@ def test_criterion_2_method_agreement():
         bcs = [DIR, BoundaryCondition.robin(beta)]
         p = SLProblem(q=q, m0=0.0, m1=2.0,
                       bc_left=bcs[trial % 2], bc_right=bcs[(trial + 1) % 2])
-        window = (spectral_floor(p) - 1.0, 12.0)
+        # |sin|, |cos| <= 1 bound q below
+        window = (spectral_floor(p, inf_q=base - float(np.sum(np.abs(c)))) - 1.0, 12.0)
         fd = solve_fd(p, 256, window)
         sh = solve_shooting(p, window, phase_tol=1e-8)
         assert len(fd.eigenvalues) == len(sh.eigenvalues)

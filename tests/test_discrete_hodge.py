@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import tubespec.discrete_hodge as dh
 from tubespec.discrete_hodge import (
     DiracComplexMatrix,
     build_circle_complex,
@@ -139,6 +140,26 @@ def test_minimax_facets_on_circle():
         assert rep["facet_b_equal"]
         assert rep["sup_quotient"] == pytest.approx(rep["lambda_exact"],
                                                     rel=1e-8)
+
+
+@pytest.mark.parametrize("cx", [build_circle_complex(n) for n in (8, 16, 33, 64)]
+                         + [build_interval_complex(n, 2.0, cond) for n in (8, 16, 33)
+                            for cond in ("Absolute", "Relative")],
+                         ids=lambda cx: cx.name)
+def test_minimax_quotient_matches_scipy_generalized_eigh(cx):
+    # verify_minimax reduces the i x i pencil (A, B) with a Cholesky factor of
+    # B in numpy; scipy's generalized eigh on the same A and B is the oracle
+    basis = dh._orth_basis(cx.d)
+    evals, evecs = np.linalg.eigh(basis.T @ cx.P @ basis)
+    pinv_d = np.linalg.pinv(cx.d, rcond=dh.RANK_TOL)
+    available = exact_positive_spectrum(cx).size
+    for i in [i for i in (1, 2, 3, 5, 8) if i <= available]:
+        rep = verify_minimax(cx, i)
+        L = basis @ evecs[:, np.argsort(evals)[:i]]
+        chi = pinv_d @ L
+        want = float(np.max(scipy.linalg.eigh(L.T @ L, chi.T @ chi,
+                                              eigvals_only=True)))
+        assert rep["sup_quotient"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_minimax_degenerate_and_validation():

@@ -34,22 +34,33 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _imports(tree, in_function=False):
+    """(import node, imported names, whether it runs inside a function)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names], in_function
+        elif isinstance(node, ast.ImportFrom):
+            yield node, [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names], in_function
+        else:
+            yield from _imports(node, in_function or isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
 def test_no_import_of_scipy_optimize_integrate_or_special_in_src():
-    # on top of scipy.linalg, scipy.optimize costs 18 MB and 0.19 s at every
-    # start and scipy.integrate 22 MB and 0.26 s; scipy.special, which both
-    # load, would be a first step back towards them
+    # scipy.linalg alone costs a process 0.17 s and 28 MB, so only solve_fd
+    # imports it, inside its body: bound, s1-dissect and compare-ode start
+    # without scipy.  A module-level import of any scipy package would put
+    # that cost back on every start.  scipy.optimize adds 18 MB and 0.19 s
+    # on top of scipy.linalg and scipy.integrate 22 MB and 0.26 s;
+    # scipy.special, which both load, would be a first step back towards them
     banned = ("scipy.optimize", "scipy.integrate", "scipy.special")
     found = []
     for path in sorted(Path(tubespec.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [f"{node.module}.{alias.name}"
-                                               for alias in node.names]
-            else:
-                continue
-            if any(n == b or n.startswith(b + ".") for n in names for b in banned):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node, names, in_function in _imports(tree):
+            if (any(n == b or n.startswith(b + ".") for n in names for b in banned)
+                    or not in_function and any(n.split(".")[0] == "scipy" for n in names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -101,7 +101,7 @@ def test_count_below_is_strict():
 def test_count_below_matches_window_length():
     p = SLProblem(q=lambda u: np.sin(3.0 * u) + 2.0, m0=0.0, m1=4.0,
                   bc_left=DIR, bc_right=BoundaryCondition.robin(-0.7))
-    floor = spectral_floor(p)
+    floor = spectral_floor(p, inf_q=1.0)
     for lam_star in (5.0, 14.0):
         n = count_below(p, lam_star)
         res = solve_shooting(p, (floor - 1.0, lam_star))
@@ -150,7 +150,8 @@ def test_methods_agree_on_smooth_potentials():
         bcs = [DIR, BoundaryCondition.robin(float(rng.uniform(-1.5, 1.5)))]
         p = SLProblem(q=q, m0=0.0, m1=3.0, bc_left=bcs[trial % 2],
                       bc_right=bcs[(trial + 1) % 2])
-        window = (spectral_floor(p) - 1.0, 25.0)
+        # |sin|, |cos| <= 1 bound q below
+        window = (spectral_floor(p, inf_q=base - float(np.sum(np.abs(c)))) - 1.0, 25.0)
         fd = solve_fd(p, 256, window)
         sh = solve_shooting(p, window)
         assert len(fd.eigenvalues) == len(sh.eigenvalues)
@@ -193,7 +194,7 @@ def test_lower_bound_with_attractive_boundaries():
                   bc_right=BoundaryCondition.robin(1.0))
     c = attractive_boundary_constant(p)
     assert c > 0.0
-    res = solve_shooting(p, (spectral_floor(p) - 0.5, 30.0))
+    res = solve_shooting(p, (spectral_floor(p, inf_q=2.0) - 0.5, 30.0))
     assert all(ev >= 2.0 - c - 1e-9 for ev in res.eigenvalues)
     assert res.eigenvalues[0] < 2.0  # the boundary terms do pull downward
 
@@ -202,8 +203,10 @@ def test_spectral_floor_below_ground_state():
     for bc in (DIR, BoundaryCondition.robin(0.4), BoundaryCondition.robin(-2.0)):
         p = SLProblem(q=lambda u: np.cos(u) + 1.0, m0=0.0, m1=2.5,
                       bc_left=bc, bc_right=DIR)
-        res = solve_shooting(p, (spectral_floor(p) - 1.0, 12.0))
-        assert res.eigenvalues[0] >= spectral_floor(p) - 1e-9
+        # cos decreases on [0, 2.5], so q is smallest at the right end
+        floor = spectral_floor(p, inf_q=math.cos(2.5) + 1.0)
+        res = solve_shooting(p, (floor - 1.0, 12.0))
+        assert res.eigenvalues[0] >= floor - 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -300,7 +303,9 @@ def _seed_test_problems():
                        bc_right=DIR)
     # stiff: theta(m1; lam) is a staircase in lam
     tube = _tube_mode_problem(10.0)
-    return [(smooth, (spectral_floor(smooth) - 1.0, 20.0), 256, 1e-7),
+    # |sin|, |cos| <= 1 bound q below: inf q >= 1.5 - 1 - 0.4
+    floor = spectral_floor(smooth, inf_q=1.5 - 1.0 - 0.4)
+    return [(smooth, (floor - 1.0, 20.0), 256, 1e-7),
             (tube, (0.0, 10.0), 2048, 1e-7)]
 
 
@@ -344,7 +349,8 @@ def _matched_test_problems():
                           m0=0.0, m1=3.0, bc_left=BoundaryCondition.robin(0.9),
                           bc_right=BoundaryCondition.robin(-1.3))
     return [smooth, (_tube_mode_problem(6.0), (0.0, 10.0), 2048, 1e-7),
-            (repulsive, (spectral_floor(repulsive) - 1.0, 30.0), 256, 1e-7)]
+            # the square is nonnegative and sin >= -1
+            (repulsive, (spectral_floor(repulsive, inf_q=-1.0) - 1.0, 30.0), 256, 1e-7)]
 
 
 _MATCHED_IDS = ["smooth", "tube", "repulsive"]
@@ -858,7 +864,9 @@ def _tube_sweep_solves(monkeypatch):
 
 def _sl_solve_shapes():
     """The three fourier shapes on [0, 2] of the benchmark's sl_solve
-    workload, without its jitter, with the window it gives them."""
+    workload, without its jitter, with the top of the window it gives them.
+    The bottom is a proven floor minus 1, at or below the benchmark's, which
+    takes inf q as a sample minimum."""
     shapes = [((1.897, [0.0, 0.901, -0.342], [0.024, 0.0, -0.625]), None, -0.565),
               ((1.099, [0.0, 0.655, -0.087], [-0.153, 0.0, -0.160]), -1.417, None),
               ((1.961, [0.0, -0.439, -0.014], [0.501, 0.0, -0.026]), None, 1.385)]
@@ -870,7 +878,8 @@ def _sl_solve_shapes():
             m0=0.0, m1=2.0,
             bc_left=DIR if beta_left is None else BoundaryCondition.robin(beta_left),
             bc_right=DIR if beta_right is None else BoundaryCondition.robin(beta_right))
-        out.append((p, (spectral_floor(p) - 1.0, 12.0), 256, 1e-9))
+        inf_q = a0 - sum(map(abs, cos_c)) - sum(map(abs, sin_c))
+        out.append((p, (spectral_floor(p, inf_q=inf_q) - 1.0, 12.0), 256, 1e-9))
     return out
 
 
@@ -921,7 +930,9 @@ def test_count_below_on_tube_modes_is_cheap_and_matches_fd(monkeypatch):
     for R, fam, p, lam in cases:
         calls.clear()
         got = count_below(p, lam)
-        fd = solve_fd(p, 2048, (spectral_floor(p) - 1.0, lam))
+        # kappa is smallest at r0 = m0 (torus_modes.modes_below)
+        inf_q = float(p.q_values(np.array([p.m0]))[0])
+        fd = solve_fd(p, 2048, (spectral_floor(p, inf_q=inf_q) - 1.0, lam))
         assert got == len(fd.eigenvalues), (R, fam, lam)
         # the converged rule spent 131k-524k cells here, and raised on
         # Abs2 at lam = 10 for R = 7..10

@@ -289,28 +289,35 @@ def test_verify_identities_sees_a_modulus_that_varies_in_t(monkeypatch):
 
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
-    # every subcommand runs once on its golden config in a fresh interpreter,
-    # so a lazy import inside a solve would show too
+    # the import alone, then each subcommand on its golden config, each in a
+    # fresh interpreter, so a lazy import inside a solve shows too.  Only
+    # solve_fd imports scipy (scipy.linalg), and only sl-solve and tube-sweep
+    # reach it; the rest start without scipy
     from test_golden import CASES
-    argvs = []
-    for i, (_, sub, config, _) in enumerate(CASES):
+    code = ("import json, sys, tubespec.cli; "
+            "codes = [tubespec.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "print(json.dumps([codes, len(scipy), sorted({m.split('.')[1] for m in scipy "
+            "if '.' in m and not m.split('.')[1].startswith('_')})]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(tubespec.__file__).resolve().parents[1]))
+    runs = {"import": ([], [])}
+    for i, (name, sub, config, exit_code) in enumerate(CASES):
         argv = [sub, "--out", str(tmp_path / f"out{i}")]
         if config is not None:
             path = tmp_path / f"config{i}.json"
             path.write_text(json.dumps(config), encoding="utf-8")
             argv += ["--config", str(path)]
-        argvs.append(argv)
-    code = ("import json, sys, tubespec.cli; "
-            "codes = [tubespec.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
-            "print(json.dumps([codes, sorted({m.split('.')[1] for m in sys.modules "
-            "if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})]))")
-    env = dict(os.environ, PYTHONPATH=str(Path(tubespec.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    codes, subpackages = json.loads(out.splitlines()[-1])
-    assert codes == [case[3] for case in CASES]
-    # scipy.linalg is loaded, so the probe sees scipy's subpackages at all
-    assert subpackages == ["linalg", "version"]
+        runs[name] = ([argv], [exit_code])
+    loaded = {}
+    for name, (argvs, codes_expected) in runs.items():
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        codes, count, subpackages = json.loads(out.splitlines()[-1])
+        assert codes == codes_expected, name
+        loaded[name] = subpackages if count else None
+    # scipy.version comes with any import of scipy
+    assert loaded == {name: ["linalg", "version"] if name in ("sl-solve", "tube-sweep")
+                      else None for name in runs}
 
 
 def test_verify_identities_r10_mode():
