@@ -29,7 +29,7 @@ from .dissection import berger_scaling, c_rho_from_partition, \
 from .discrete_hodge import s1_case_study
 from .geometry import DegenerationSchedule, schedule_from_json, schedule_to_json
 from .jsonio import check_fields, check_float, check_int, write_csv, write_json
-from .ode_compare import run_suite
+from .ode_compare import SUITES, run_suite
 from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
     solve_fd, solve_shooting
 # unused here, but perfbench's tracer looks it up as cli.solve_cross_validated
@@ -188,13 +188,10 @@ def cmd_s1_dissect(args, config: dict):
 
 
 def cmd_compare_ode(args, config: dict):
-    config.setdefault("suite", "A.1")
-    config.setdefault("seed", args.seed)
+    if args.seed is not None:
+        config["seed"] = args.seed
     report = run_suite(config)
-    checks = (("riccati_margin", "slope", "slope_threshold")
-              if report["suite"] == "A.1"
-              else ("delta", "min_relative_margin", "no_zero"))
-    header = ("index", "k", "alpha") + checks + ("passed",)
+    header = ("index", "k", "alpha") + SUITES[report["suite"]].columns + ("passed",)
     return (report, header,
             [[c[key] for key in header] for c in report["cases"]],
             EXIT_OK if report["all_passed"] else EXIT_VERIFY)
@@ -246,8 +243,8 @@ _COMMANDS = {
                    "two-arc circle case study: bound vs full spectrum", {}),
     "compare-ode": (cmd_compare_ode,
                     "seeded comparison-ODE suites (A.1 slopes, A.2 growth)",
-                    {"--seed": {"type": int, "default": 7,
-                                "help": "seed of the randomized suite"}}),
+                    {"--seed": {"type": int, "help": "seed of the randomized "
+                                "suite; wins over --config and --override"}}),
     "berger-curve": (cmd_berger_curve,
                      "normalized squared-eigenvalue scaling curve", {}),
 }

@@ -15,9 +15,10 @@ closed-form v (cosh/sinh combination) as an independent integrator check on
 every run.  q maps an array of points to an array, as SLProblem.q does;
 integrate_pair samples it with three calls (the fine nodes, the fine
 midpoints and the coarse midpoints) before the RK4 loops start, and the
-coarse run shares the fine run's even nodes.  The seeded
-suites at the bottom generate randomized valid cases and produce JSON-ready
-reports; they back the command line runner.
+coarse run shares the fine run's even nodes.  The seeded suites at the bottom
+draw randomized valid cases; SUITES describes each in one Suite row (A.1: the
+Riccati and asymptotic slopes of one Robin-start run on [0, 10/k]; A.2: the
+Dirichlet growth on [0, 8/k]), and run_suite runs one for the command line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .jsonio import check_fields, check_int
+from .sturm_liouville import MIN_INTERVAL, sample_potential
 
 __all__ = [
     "ComparisonCase",
@@ -37,8 +39,7 @@ __all__ = [
     "verify_riccati",
     "asymptotic_slope",
     "dirichlet_growth",
-    "a1_suite_report",
-    "a2_suite_report",
+    "SUITES",
     "run_suite",
 ]
 
@@ -86,8 +87,8 @@ class ComparisonCase:
             raise ValueError("alpha must be finite and <= k")
         if not (math.isfinite(self.m0) and math.isfinite(self.m1)):
             raise ValueError("interval endpoints must be finite")
-        if not (self.m1 - self.m0 >= 1e-6):
-            raise ValueError("need m1 - m0 >= 1e-6")
+        if not (self.m1 - self.m0 >= MIN_INTERVAL):
+            raise ValueError(f"need m1 - m0 >= {MIN_INTERVAL}")
         if not (0 < self.step <= self.m1 - self.m0):
             raise ValueError("step must lie in (0, m1 - m0]")
         # ceil(x) > MAX_RK4_CELLS exactly when x > MAX_RK4_CELLS, and x may
@@ -98,7 +99,7 @@ class ComparisonCase:
             raise ValueError(f"step={self.step} makes {shown} RK4 cells on "
                              f"[{self.m0}, {self.m1}], above the limit of "
                              f"{MAX_RK4_CELLS}")
-        qs = _sample(self.q, np.linspace(self.m0, self.m1, _INF_SAMPLES))
+        qs = sample_potential(self.q, np.linspace(self.m0, self.m1, _INF_SAMPLES))
         if not np.all(np.isfinite(qs)):
             raise ValueError("q is not finite on the interval")
         floor = float(qs.min()) - self.k**2
@@ -107,16 +108,6 @@ class ComparisonCase:
                 raise ValueError(f"inf q - k^2 = {floor} < 0 even relaxed")
         elif floor <= 0:
             raise ValueError(f"need inf q > k^2, got inf q - k^2 = {floor}")
-
-
-def _sample(q, u: np.ndarray) -> np.ndarray:
-    """q at the points u, in one call; q must keep the shape of u."""
-    values = np.asarray(q(u), dtype=float)
-    if values.shape != u.shape:
-        raise ValueError(
-            f"q must map an array of points to an array of the same shape, "
-            f"got shape {values.shape} for {u.shape}")
-    return values
 
 
 def _rk4(c_node, c_mid, y0, h: float, n: int) -> np.ndarray:
@@ -225,9 +216,9 @@ def integrate_pair(case: ComparisonCase, mode: str) -> PairTrajectories:
     # turn -0.0 into 0.0
     nodes = case.m0 + np.arange(2 * n + 1) * h_fine
     nodes[0] = case.m0
-    q_node = _sample(case.q, nodes).tolist()
-    q_mid = _sample(case.q, nodes[:-1] + 0.5 * h_fine).tolist()
-    q_mid_coarse = _sample(case.q, nodes[:-1:2] + 0.5 * h).tolist()
+    q_node = sample_potential(case.q, nodes).tolist()
+    q_mid = sample_potential(case.q, nodes[:-1] + 0.5 * h_fine).tolist()
+    q_mid_coarse = sample_potential(case.q, nodes[:-1:2] + 0.5 * h).tolist()
     ksq = [case.k**2] * (2 * n + 1)
 
     coarse_a = _rk4(q_node[::2], q_mid_coarse, y0, h, n)
@@ -349,67 +340,66 @@ def _draw_case(rng: np.random.Generator, index: int, horizon_over_k: float) -> t
     return case, params
 
 
-def a1_suite_report(seed: int = 7, count: int = 20) -> dict:
-    """Randomized Riccati + asymptotic-slope suite on [0, 10/k] per case."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count > MAX_SUITE_COUNT:
-        raise ValueError(f"count {count} exceeds the limit of {MAX_SUITE_COUNT}")
-    rng = np.random.default_rng(seed)
-    cases = []
-    all_passed = True
-    worst_margin = math.inf
-    worst_slope_gap = math.inf
-    for i in range(count):
-        case, params = _draw_case(rng, i, horizon_over_k=10.0)
-        # the case spans [0, 10/k], so one run also serves asymptotic_slope
-        traj = integrate_pair(case, "RobinStart")
-        ric = traj._riccati_check()
-        slope = traj._slope_check(case.k)
-        passed = ric["passed"] and slope["passed"]
-        all_passed = all_passed and passed
-        worst_margin = min(worst_margin, ric["margin"])
-        worst_slope_gap = min(worst_slope_gap, slope["slope"] - case.k / 2.0)
-        cases.append({**params, "riccati_margin": ric["margin"],
-                      "slope": slope["slope"],
-                      "slope_threshold": slope["threshold"],
-                      "v_slope_limit": slope["v_slope_limit"],
-                      "passed": passed})
-    return {"suite": "A.1", "seed": seed, "count": count, "cases": cases,
-            "worst_riccati_margin": worst_margin,
-            "worst_slope_gap": worst_slope_gap, "all_passed": all_passed}
+def _riccati_and_slope(case: ComparisonCase) -> dict:
+    # the case spans [0, 10/k], so one run also serves asymptotic_slope
+    traj = integrate_pair(case, "RobinStart")
+    ric, slope = traj._riccati_check(), traj._slope_check(case.k)
+    return {"riccati_margin": ric["margin"], "slope": slope["slope"],
+            "slope_threshold": slope["threshold"],
+            "v_slope_limit": slope["v_slope_limit"],
+            "passed": ric["passed"] and slope["passed"]}
 
 
-def a2_suite_report(seed: int = 7, count: int = 10) -> dict:
-    """Randomized Dirichlet growth suite on [0, 8/k] with delta = m0 + 1/k."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count > MAX_SUITE_COUNT:
-        raise ValueError(f"count {count} exceeds the limit of {MAX_SUITE_COUNT}")
-    rng = np.random.default_rng(seed)
-    cases = []
-    all_passed = True
-    worst_margin = math.inf
-    for i in range(count):
-        case, params = _draw_case(rng, i, horizon_over_k=8.0)
-        rep = dirichlet_growth(case)
-        all_passed = all_passed and rep["passed"]
-        worst_margin = min(worst_margin, rep["min_relative_margin"])
-        cases.append({**params, "delta": rep["delta_used"],
-                      "min_relative_margin": rep["min_relative_margin"],
-                      "no_zero": rep["no_zero"], "a_m1": rep["a_m1"],
-                      "passed": rep["passed"]})
-    return {"suite": "A.2", "seed": seed, "count": count, "cases": cases,
-            "worst_growth_margin": worst_margin, "all_passed": all_passed}
+def _growth(case: ComparisonCase) -> dict:
+    rep = dirichlet_growth(case)
+    return {"delta": rep["delta_used"],
+            "min_relative_margin": rep["min_relative_margin"],
+            "no_zero": rep["no_zero"], "a_m1": rep["a_m1"],
+            "passed": rep["passed"]}
+
+
+@dataclass(frozen=True)
+class Suite:
+    horizon_over_k: float  # case i spans [0, horizon_over_k / k]
+    count: int  # the default count
+    check: Callable[[ComparisonCase], dict]  # one case's columns and "passed"
+    minima: dict  # report key -> function of a case row; the report holds its least
+    columns: tuple  # the check columns of a CSV row
+
+
+SUITES = {
+    "A.1": Suite(10.0, 20, _riccati_and_slope,
+                 {"worst_riccati_margin": lambda c: c["riccati_margin"],
+                  "worst_slope_gap": lambda c: c["slope"] - c["k"] / 2.0},
+                 ("riccati_margin", "slope", "slope_threshold")),
+    "A.2": Suite(8.0, 10, _growth,
+                 {"worst_growth_margin": lambda c: c["min_relative_margin"]},
+                 ("delta", "min_relative_margin", "no_zero")),
+}
 
 
 def run_suite(config: dict) -> dict:
-    """Dispatch a suite config {"suite": "A.1"|"A.2", "seed": int, "count": int}."""
+    """Run the suite of config {"suite", "seed", "count"}, each optional;
+    a missing count is the count of the suite's row."""
     check_fields(config, "suite config", {"suite", "seed", "count"})
-    suite = config.get("suite")
+    name = config.get("suite", "A.1")
     seed = check_int(config.get("seed", 7), "seed")
-    if suite == "A.1":
-        return a1_suite_report(seed, check_int(config.get("count", 20), "count"))
-    if suite == "A.2":
-        return a2_suite_report(seed, check_int(config.get("count", 10), "count"))
-    raise ValueError(f"unknown suite {suite!r} (expected 'A.1' or 'A.2')")
+    if not (isinstance(name, str) and name in SUITES):
+        raise ValueError(f"unknown suite {name!r} "
+                         f"(expected {' or '.join(map(repr, SUITES))})")
+    suite = SUITES[name]
+    count = check_int(config.get("count", suite.count), "count")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if count > MAX_SUITE_COUNT:
+        raise ValueError(f"count {count} exceeds the limit of {MAX_SUITE_COUNT}")
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        case, params = _draw_case(rng, i, suite.horizon_over_k)
+        cases.append({**params, **suite.check(case)})
+    # from inf, as a running minimum: a NaN never becomes the minimum
+    worst = {key: min([math.inf, *map(f, cases)])
+             for key, f in suite.minima.items()}
+    return {"suite": name, "seed": seed, "count": count, "cases": cases,
+            **worst, "all_passed": all(c["passed"] for c in cases)}

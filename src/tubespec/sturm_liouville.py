@@ -63,6 +63,9 @@ MIN_INTERVAL = 1e-6
 # a 52 MB peak on a 5-eigenvalue window (2-core VM); the shooting mesh stops
 # at the same size (_N_MAX)
 MAX_FD_GRID_N = 1 << 18
+# eigenvalues in one shooting window: 6-22 ms each at mesh 128 (q = 0), 160 ms
+# at mesh 131072 (2 + sin 3u on [0, 10]), 2-core VM; 1-3 s or 20 s in all
+MAX_SHOOTING_EIGENVALUES = 128
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,16 @@ class BoundaryCondition:
         return self.kind == "robin"
 
 
+def sample_potential(q, u: np.ndarray) -> np.ndarray:
+    """q at the float array u in one call: every potential keeps u's shape."""
+    values = np.asarray(q(u), dtype=float)
+    if values.shape != u.shape:
+        raise ValueError(
+            f"q must map an array of points to an array of the same shape, "
+            f"got shape {values.shape} for {u.shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class SLProblem:
     """-a'' + q a = lambda a on [m0, m1]; q maps an array of u to an array."""
@@ -115,12 +128,7 @@ class SLProblem:
         if not callable(self.q):
             raise TypeError("q must be callable")
         u = np.linspace(self.m0, self.m1, 65)
-        sample = self.q_values(u)
-        if sample.shape != u.shape:
-            raise ValueError(
-                f"q must map an array of points to an array of the same shape, "
-                f"got shape {sample.shape} for {u.shape}")
-        if not np.all(np.isfinite(sample)):
+        if not np.all(np.isfinite(sample_potential(self.q, u))):
             raise ValueError("potential is not bounded on the interval")
 
     @property
@@ -258,7 +266,7 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     k0 = _sturm_count(d2, e2, np.nextafter(lo, math.inf))
     k1 = k0 + lam2.size - 1
     if k1 >= d1.size:
-        raise RuntimeError(
+        raise ValueError(
             "window reaches eigenvalue indices beyond the coarse mesh; "
             "increase grid_n")
     lam1 = eigvalsh_tridiagonal(d1, e1, select="i", select_range=(k0, k1))
@@ -488,7 +496,7 @@ def _decided_count(theta_n: float, theta_2n: float, target: float) -> int | None
 def _window_indices(theta_lo, theta_hi, target):
     j_min = math.floor(_phase_units(theta_lo, target)) + 1
     j_max = math.floor(_phase_units(theta_hi, target))
-    return list(range(max(0, j_min), j_max + 1))
+    return range(max(0, j_min), j_max + 1)
 
 
 # Root brackets.  Root j is found on each mesh's phase at the matching
@@ -650,6 +658,10 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
         js = _window_indices(th_lo, th_hi, target)
         index_sets.append(js)
         if mesh == n:
+            held = js.stop - js.start  # len(js) overflows past 2^63 - 1
+            if held > MAX_SHOOTING_EIGENVALUES:
+                raise ValueError(f"window {(lo, hi)} holds {held} eigenvalues, "
+                                 f"above the limit of {MAX_SHOOTING_EIGENVALUES}")
             guesses = seeds = _fd_guesses(fd_seeds, js)
         else:
             # a mesh-2n root lies near the mesh-n one, and it moves less than
@@ -675,7 +687,7 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     if index_sets[0] != index_sets[1]:
         raise RuntimeError(
             f"phase-count / root-count mismatch between meshes {n} and {2*n}: "
-            f"{index_sets[0]} vs {index_sets[1]}")
+            f"{list(index_sets[0])} vs {list(index_sets[1])}")
 
     ev, er = [], []
     for j in index_sets[1]:

@@ -32,7 +32,7 @@ from tubespec.discrete_hodge import (
     verify_eigenspace_pairing,
 )
 from tubespec.geometry import DegenerationSchedule, schedule_instantiate
-from tubespec.ode_compare import a1_suite_report, a2_suite_report
+from tubespec.ode_compare import run_suite
 from tubespec.sturm_liouville import (
     BoundaryCondition,
     SLProblem,
@@ -183,12 +183,12 @@ def test_criterion_4_tube_threshold_nonvacuous():
 
 def test_criterion_5_comparison_suites():
     start = time.perf_counter()
-    a1 = a1_suite_report(seed=7, count=20)
+    a1 = run_suite({"suite": "A.1", "seed": 7, "count": 20})
     assert a1["all_passed"]
     assert a1["worst_riccati_margin"] >= -1e-8
     assert all(c["slope"] >= c["k"] / 2.0 - 1e-6 for c in a1["cases"])
 
-    a2 = a2_suite_report(seed=7, count=10)
+    a2 = run_suite({"suite": "A.2", "seed": 7, "count": 10})
     assert a2["all_passed"]
     assert a2["worst_growth_margin"] >= -1e-8
     assert all(c["no_zero"] for c in a2["cases"])

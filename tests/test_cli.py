@@ -102,6 +102,35 @@ def test_sl_solve_cross_solves_each_method_once(tmp_path, monkeypatch):
     assert results["cross_validated"] == checked.to_json()
 
 
+def test_sl_solve_fd_alone(tmp_path):
+    from tubespec.sturm_liouville import problem_from_json, solve_fd
+
+    cfg = _write_config(tmp_path, {**SL_CONFIG, "method": "fd", "grid_n": 64})
+    assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    doc = _read_json(tmp_path, "sl_solve.json")
+    assert set(doc["results"]) == {"fd"}
+    want = solve_fd(problem_from_json(SL_CONFIG["problem"]), 64,
+                    tuple(SL_CONFIG["window"]))
+    assert doc["results"]["fd"] == json.loads(json.dumps(want.to_json()))
+    lines = (tmp_path / "sl_solve.csv").read_text().splitlines()
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert rows == [[i, ev, er] for i, (ev, er) in
+                    enumerate(zip(want.eigenvalues, want.error_estimate))]
+
+
+@pytest.mark.parametrize("method", ["shooting", "fd"])
+def test_sl_solve_refuses_a_window_of_too_many_eigenvalues(tmp_path, capsys, method):
+    # 318 309 eigenvalues below 1 on [0, 1e6]: shooting refuses the count,
+    # FD the indices its coarse mesh does not hold
+    doc = {**SL_CONFIG, "method": method, "window": [0.0, 1.0]}
+    doc["problem"] = {**SL_CONFIG["problem"], "m1": 1e6}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sl_solve_method_override_is_string(tmp_path):
     cfg = _write_config(tmp_path, SL_CONFIG)
     assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path),
@@ -213,6 +242,36 @@ def test_compare_ode_seed_flag_reaches_suite(tmp_path):
                  "--override", "suite=A.2", "--override", "count=2"]) == 0
     doc = _read_json(tmp_path, "compare_ode.json")
     assert doc["seed"] == 3 and doc["count"] == 2
+
+
+@pytest.mark.parametrize("doc, argv, want", [
+    ({"seed": 5}, ["--seed", "3"], 3),  # the flag wins over the config file
+    ({}, ["--override", "seed=5", "--seed", "3"], 3),  # and over --override
+    ({"seed": 5}, [], 5),
+    ({}, [], 7),  # run_suite's default
+])
+def test_compare_ode_seed_precedence(tmp_path, doc, argv, want):
+    cfg = _write_config(tmp_path, {"suite": "A.2", "count": 1, **doc})
+    assert main(["compare-ode", "--config", cfg, "--out", str(tmp_path)] + argv) == 0
+    assert _read_json(tmp_path, "compare_ode.json")["seed"] == want
+
+
+def test_compare_ode_csv_header_follows_the_suite_table(tmp_path, monkeypatch):
+    from tubespec import ode_compare
+
+    fake = ode_compare.Suite(
+        horizon_over_k=10.0, count=2,
+        check=lambda case: {"gap": case.k, "flag": True, "passed": True},
+        minima={"worst_gap": lambda c: c["gap"]}, columns=("gap", "flag"))
+    monkeypatch.setitem(ode_compare.SUITES, "Z.9", fake)
+    assert main(["compare-ode", "--override", "suite=Z.9",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "compare_ode.csv").read_text().splitlines()
+    assert lines[0] == "index,k,alpha,gap,flag,passed"
+    assert len(lines) == 3
+    doc = _read_json(tmp_path, "compare_ode.json")
+    assert doc["suite"] == "Z.9" and doc["count"] == 2
+    assert doc["worst_gap"] == min(c["k"] for c in doc["cases"])
 
 
 def test_compare_ode_failure_exit(tmp_path, monkeypatch):

@@ -9,8 +9,6 @@ from tubespec.ode_compare import (
     MAX_RK4_CELLS,
     MODES,
     ComparisonCase,
-    a1_suite_report,
-    a2_suite_report,
     asymptotic_slope,
     dirichlet_growth,
     integrate_pair,
@@ -137,7 +135,7 @@ def test_case_validation():
 
 
 def test_a1_suite_seed7():
-    rep = a1_suite_report(seed=7, count=20)
+    rep = run_suite({"suite": "A.1", "seed": 7, "count": 20})
     assert rep["all_passed"]
     assert len(rep["cases"]) == 20
     assert all(c["passed"] for c in rep["cases"])
@@ -148,7 +146,7 @@ def test_a1_suite_seed7():
 
 
 def test_a2_suite_seed7():
-    rep = a2_suite_report(seed=7, count=10)
+    rep = run_suite({"suite": "A.2", "seed": 7, "count": 10})
     assert rep["all_passed"]
     assert len(rep["cases"]) == 10
     assert rep["worst_growth_margin"] >= -1e-8
@@ -156,8 +154,14 @@ def test_a2_suite_seed7():
 
 
 def test_suites_are_deterministic():
-    assert a1_suite_report(seed=3, count=4) == a1_suite_report(seed=3, count=4)
-    assert a2_suite_report(seed=3, count=4) == a2_suite_report(seed=3, count=4)
+    for suite in ("A.1", "A.2"):
+        config = {"suite": suite, "seed": 3, "count": 4}
+        assert run_suite(config) == run_suite(dict(config))
+
+
+def test_run_suite_defaults():
+    # suite A.1, seed 7 and the count of A.1's row
+    assert run_suite({}) == run_suite({"suite": "A.1", "seed": 7, "count": 20})
 
 
 def test_run_suite_dispatch():
@@ -165,6 +169,8 @@ def test_run_suite_dispatch():
     assert rep["suite"] == "A.2" and rep["count"] == 3
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite({"suite": "B.1"})
+    with pytest.raises(ValueError, match=r"unknown suite \['A.1'\]"):
+        run_suite({"suite": ["A.1"]})
     with pytest.raises(ValueError, match="unknown suite config"):
         run_suite({"suite": "A.1", "junk": 1})
     with pytest.raises(ValueError, match="JSON object"):
@@ -206,7 +212,7 @@ def test_a1_suite_integrates_each_case_once(monkeypatch):
         return real(case, mode)
 
     monkeypatch.setattr(oc, "integrate_pair", counting)
-    report = a1_suite_report(count=3)
+    report = run_suite({"suite": "A.1", "count": 3})
     assert calls == ["RobinStart"] * 3
     assert report["all_passed"]
 

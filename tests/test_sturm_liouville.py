@@ -1041,3 +1041,36 @@ def test_sturm_count_matches_the_numpy_scalar_loop(size):
     d, e = np.array([2.0, 2.0]), np.array([1.0])
     assert _sturm_count(d, e, np.float64(1.0)) == _sturm_count_reference(d, e, 1.0) == 1
 
+
+
+@pytest.mark.parametrize("m1, window, count", [
+    (math.pi, (1e12, 2e12), 414214),  # j^2 in the window
+    (1e6, (0.0, 1.0), 318309),        # (j pi / 1e6)^2 in the window
+    # about 1e150 indices: no list of them is built, and len() would overflow
+    (math.pi, (0.0, 1e300), r"\d{150}"),
+])
+def test_shooting_refuses_a_window_of_too_many_eigenvalues(monkeypatch, m1, window,
+                                                           count):
+    import tubespec.sturm_liouville as sl
+    p = SLProblem(q=lambda u: 0.0 * u, m0=0.0, m1=m1, bc_left=DIR, bc_right=DIR)
+    # the count is read once the mesh is accepted, before any root search
+    monkeypatch.setattr(sl, "_bracketed_root", None)
+    with pytest.raises(ValueError, match=f"holds {count} eigenvalues, above the "
+                                         f"limit of {sl.MAX_SHOOTING_EIGENVALUES}"):
+        solve_shooting(p, window)
+
+
+def test_shooting_solves_a_window_at_the_eigenvalue_limit():
+    from tubespec.sturm_liouville import MAX_SHOOTING_EIGENVALUES as most
+    # j^2 for j = 1 .. most lie in (0.5, most^2 + 0.5]
+    res = solve_shooting(_dirichlet_q0(), (0.5, most**2 + 0.5))
+    assert len(res.eigenvalues) == most
+    with pytest.raises(ValueError, match=f"holds {most + 1} eigenvalues"):
+        solve_shooting(_dirichlet_q0(), (0.5, (most + 1)**2 + 0.5))
+
+
+def test_fd_refuses_a_window_beyond_its_coarse_mesh():
+    # all 255 eigenvalues of the 256-cell FD matrix on [0, 1e6] lie below 1
+    p = SLProblem(q=lambda u: 0.0 * u, m0=0.0, m1=1e6, bc_left=DIR, bc_right=DIR)
+    with pytest.raises(ValueError, match="beyond the coarse mesh"):
+        solve_fd(p, 128, (0.0, 1.0))
