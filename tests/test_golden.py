@@ -4,9 +4,10 @@ The files under tests/golden/<case>/ were written by the CLI on the configs
 below.  A change that means to keep behaviour must reproduce them byte for
 byte.  A change that means to alter an output rewrites them with
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py [case ...]
 
-and the diff of tests/golden/ then shows exactly what changed.
+(every case when none is named; an unknown name exits non-zero), and the
+diff of tests/golden/ then shows exactly what changed.
 """
 
 import json
@@ -34,6 +35,19 @@ CASES = [
             "bc_right": {"kind": "dirichlet"},
         },
         "window": [0.0, 30.0],
+        "method": "cross",
+    }, 0),
+    # perfbench's first sl_solve template without jitter: a Robin end and a
+    # shooting mesh of 32768 cells
+    ("sl-solve-fourier", "sl-solve", {
+        "problem": {
+            "m0": 0.0, "m1": 2.0,
+            "q": {"type": "fourier", "period": 2.0 * math.pi, "a0": 1.897,
+                  "cos": [0.0, 0.901, -0.342], "sin": [0.024, 0.0, -0.625]},
+            "bc_left": {"kind": "dirichlet"},
+            "bc_right": {"kind": "robin", "beta": -0.565},
+        },
+        "window": [0.0, 12.0],
         "method": "cross",
     }, 0),
     ("tube-sweep", "tube-sweep", {"R_grid": [1.2, 10], "lambda_max": 10}, 0),
@@ -76,7 +90,11 @@ def test_golden_outputs(case, tmp_path):
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    names = sys.argv[1:] or [c[0] for c in CASES]
+    unknown = sorted(set(names) - {c[0] for c in CASES})
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
+    for case in (c for c in CASES if c[0] in names):
         target = GOLDEN / case[0]
         shutil.rmtree(target, ignore_errors=True)
         with tempfile.TemporaryDirectory() as work:

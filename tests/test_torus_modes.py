@@ -300,8 +300,9 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
             "print(json.dumps([codes, len(scipy), sorted({m.split('.')[1] for m in scipy "
             "if '.' in m and not m.split('.')[1].startswith('_')})]))")
     env = dict(os.environ, PYTHONPATH=str(Path(tubespec.__file__).resolve().parents[1]))
-    runs = {"import": ([], [])}
+    runs, subs = {"import": ([], [])}, {}
     for i, (name, sub, config, exit_code) in enumerate(CASES):
+        subs[name] = sub
         argv = [sub, "--out", str(tmp_path / f"out{i}")]
         if config is not None:
             path = tmp_path / f"config{i}.json"
@@ -316,8 +317,9 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
         assert codes == codes_expected, name
         loaded[name] = subpackages if count else None
     # scipy.version comes with any import of scipy
-    assert loaded == {name: ["linalg", "version"] if name in ("sl-solve", "tube-sweep")
-                      else None for name in runs}
+    assert loaded == {name: ["linalg", "version"]
+                      if subs.get(name) in ("sl-solve", "tube-sweep") else None
+                      for name in runs}
 
 
 def test_verify_identities_r10_mode():
