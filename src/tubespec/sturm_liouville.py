@@ -135,9 +135,6 @@ class SLProblem:
     def length(self) -> float:
         return self.m1 - self.m0
 
-    def q_values(self, u):
-        return np.asarray(self.q(np.asarray(u, dtype=float)), dtype=float)
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -187,6 +184,18 @@ def _err_floor(lam: float) -> float:
     return 1e-12 * max(1.0, abs(lam))
 
 
+def _extrapolated(coarse, fine, method: str, grid_n: int) -> SpectrumResult:
+    """Richardson values (4 l_2n - l_n)/3 of eigenvalues paired by index on
+    meshes n and 2n, sorted, each with its error |l_2n - l_n|/3 >= _err_floor."""
+    coarse, fine = np.asarray(coarse, dtype=float), np.asarray(fine, dtype=float)
+    extrap = (4.0 * fine - coarse) / 3.0
+    err = np.abs(fine - coarse) / 3.0
+    order = np.argsort(extrap)
+    ev = [float(extrap[i]) for i in order]
+    er = [max(float(err[i]), _err_floor(ev[j])) for j, i in enumerate(order)]
+    return SpectrumResult(tuple(ev), tuple(er), method, grid_n)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -201,7 +210,7 @@ def _fd_arrays(problem: SLProblem, n: int):
     """
     h = problem.length / n
     u = problem.m0 + h * np.arange(n + 1)
-    qv = problem.q_values(u)
+    qv = sample_potential(problem.q, u)
     i0 = 0 if problem.bc_left.is_robin else 1
     i1 = n if problem.bc_right.is_robin else n - 1
     m = i1 - i0 + 1
@@ -240,8 +249,9 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     """Windowed FD spectrum on meshes grid_n and 2 grid_n, extrapolated.
 
     Selection happens on the finer mesh (half-open window (lo, hi]); the
-    coarse mesh supplies the matching global-index eigenvalues for the
-    Richardson combination (4 l_2n - l_n)/3 and the error |l_2n - l_n|/3.
+    coarse mesh supplies the matching global-index eigenvalues for
+    _extrapolated.  A window whose top reaches the largest eigenvalue of the
+    coarse mesh is refused: the mesh cannot represent the spectrum there.
 
     scipy.linalg is imported here, not at module level: this is its only
     caller in the package, loading it costs a process about 0.17 s and
@@ -254,11 +264,16 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     if grid_n > MAX_FD_GRID_N:
         raise ValueError(f"grid_n={grid_n} exceeds the limit of {MAX_FD_GRID_N}")
     lo, hi = _check_window(window)
-    probe = problem.q_values(np.linspace(problem.m0, problem.m1, 4 * grid_n + 1))
+    probe = sample_potential(problem.q, np.linspace(problem.m0, problem.m1, 4 * grid_n + 1))
     if not np.all(np.isfinite(probe)):
         raise ValueError("potential is not bounded on the interval")
 
     d1, e1 = _fd_arrays(problem, grid_n)
+    # each diagonal entry is a Rayleigh quotient, so at most the largest
+    # eigenvalue of the coarse mesh
+    if hi >= d1.max():
+        raise ValueError(f"window top {hi!r} reaches the coarse mesh's largest "
+                         f"eigenvalue, at least {float(d1.max())!r}; increase grid_n")
     d2, e2 = _fd_arrays(problem, 2 * grid_n)
     lam2 = eigvalsh_tridiagonal(d2, e2, select="v", select_range=(lo, hi))
     if lam2.size == 0:
@@ -270,12 +285,7 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
             "window reaches eigenvalue indices beyond the coarse mesh; "
             "increase grid_n")
     lam1 = eigvalsh_tridiagonal(d1, e1, select="i", select_range=(k0, k1))
-    extrap = (4.0 * lam2 - lam1) / 3.0
-    err = np.abs(lam2 - lam1) / 3.0
-    order = np.argsort(extrap)
-    ev = [float(extrap[i]) for i in order]
-    er = [max(float(err[i]), _err_floor(ev[j])) for j, i in enumerate(order)]
-    return SpectrumResult(tuple(ev), tuple(er), "FD", 2 * grid_n)
+    return _extrapolated(lam1, lam2, "FD", 2 * grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +419,7 @@ def _phase_engine(problem: SLProblem):
         """(qbar, h): midpoint samples and cell width."""
         if n not in meshes:
             h = problem.length / n
-            qbar = problem.q_values(problem.m0 + h * (np.arange(n) + 0.5))
+            qbar = sample_potential(problem.q, problem.m0 + h * (np.arange(n) + 0.5))
             if not np.all(np.isfinite(qbar)):
                 raise RuntimeError("integrator step failure: potential not finite")
             meshes[n] = (qbar, h)
@@ -612,8 +622,9 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     The phase of _phase_engine is strictly increasing in lambda and reaches
     theta_target + j pi at eigenvalue j, at every matching node k.  At the
     right end (k = n) it picks the mesh, and on a converged mesh its values
-    at the window ends decide exactly which j fall inside; this is what
-    makes the method miss-proof for windows that converge.  Each root is
+    at the window ends decide exactly which j fall inside, the same on
+    meshes n and 2n before any root is searched; this is what makes the
+    method miss-proof for windows that converge.  Each root is
     then found at the matching node: where q is stiff the right-end phase
     jumps by pi in an exponentially narrow interval of lambda, on which a
     root finder can only bisect.
@@ -648,54 +659,42 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                         decided=empty)
     if empty(n):
         return SpectrumResult((), (), "Shooting", 2 * n)
-    xtol = 1e-13 * max(1.0, abs(hi))
-
-    roots = {}
-    index_sets = []
-    for mesh in (n, 2 * n):
-        th_lo = phase(lo, mesh, mesh)
-        th_hi = phase(hi, mesh, mesh)
-        js = _window_indices(th_lo, th_hi, target)
-        index_sets.append(js)
-        if mesh == n:
-            held = js.stop - js.start  # len(js) overflows past 2^63 - 1
-            if held > MAX_SHOOTING_EIGENVALUES:
-                raise ValueError(f"window {(lo, hi)} holds {held} eigenvalues, "
-                                 f"above the limit of {MAX_SHOOTING_EIGENVALUES}")
-            guesses = seeds = _fd_guesses(fd_seeds, js)
-        else:
-            # a mesh-2n root lies near the mesh-n one, and it moves less than
-            # the mesh-n root moved away from its FD seed
-            guesses = {j: (r[n], abs(r[n] - seeds[j][0]) if j in seeds else 0.0)
-                       for j, r in roots.items()}
-        for j in js:
-            tau = target + j * math.pi
-            if th_hi - tau <= 0.0:
-                # The window test snapped theta(hi) onto this index, so the
-                # eigenvalue coincides with hi to within phase roundoff and
-                # there is nothing for the root finder to bracket.
-                lam = hi
-            else:
-                k = node(mesh)
-                lam = _bracketed_root(lambda x: phase(x, mesh, k) - tau, lo, hi,
-                                      guesses.get(j), xtol)
-                if lam is None:
-                    raise RuntimeError(
-                        f"phase at node {k} shows no sign change for eigenvalue "
-                        f"{j} on mesh {mesh} over the window {(lo, hi)}")
-            roots.setdefault(j, {})[mesh] = lam
-    if index_sets[0] != index_sets[1]:
+    js, js2 = (_window_indices(phase(lo, m, m), phase(hi, m, m), target)
+               for m in (n, 2 * n))
+    held = js.stop - js.start  # len(js) overflows past 2^63 - 1
+    if held > MAX_SHOOTING_EIGENVALUES:
+        raise ValueError(f"window {(lo, hi)} holds {held} eigenvalues, "
+                         f"above the limit of {MAX_SHOOTING_EIGENVALUES}")
+    if js != js2:
         raise RuntimeError(
             f"phase-count / root-count mismatch between meshes {n} and {2*n}: "
-            f"{list(index_sets[0])} vs {list(index_sets[1])}")
+            f"{list(js)} vs {list(js2)}")
+    xtol = 1e-13 * max(1.0, abs(hi))
 
-    ev, er = [], []
-    for j in index_sets[1]:
-        l1, l2 = roots[j][n], roots[j][2 * n]
-        lam = (4.0 * l2 - l1) / 3.0
-        ev.append(lam)
-        er.append(max(abs(l2 - l1) / 3.0, _err_floor(lam)))
-    return SpectrumResult(tuple(ev), tuple(er), "Shooting", 2 * n)
+    def root(mesh, j, guess):
+        tau = target + j * math.pi
+        if phase(hi, mesh, mesh) - tau <= 0.0:
+            # The window test snapped theta(hi) onto this index, so the
+            # eigenvalue coincides with hi to within phase roundoff and
+            # there is nothing for the root finder to bracket.
+            return hi
+        k = node(mesh)
+        lam = _bracketed_root(lambda x: phase(x, mesh, k) - tau, lo, hi, guess, xtol)
+        if lam is None:
+            raise RuntimeError(
+                f"phase at node {k} shows no sign change for eigenvalue "
+                f"{j} on mesh {mesh} over the window {(lo, hi)}")
+        return lam
+
+    seeds = _fd_guesses(fd_seeds, js)
+    coarse, fine = [], []
+    for j in js:
+        coarse.append(root(n, j, seeds.get(j)))
+        # a mesh-2n root lies near the mesh-n one, and it moves less than
+        # the mesh-n root moved away from its FD seed
+        moved = abs(coarse[-1] - seeds[j][0]) if j in seeds else 0.0
+        fine.append(root(2 * n, j, (coarse[-1], moved)))
+    return _extrapolated(coarse, fine, "Shooting", 2 * n)
 
 
 def count_below(problem: SLProblem, lambda_star: float) -> int:

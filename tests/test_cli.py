@@ -121,13 +121,24 @@ def test_sl_solve_fd_alone(tmp_path):
 @pytest.mark.parametrize("method", ["shooting", "fd"])
 def test_sl_solve_refuses_a_window_of_too_many_eigenvalues(tmp_path, capsys, method):
     # 318 309 eigenvalues below 1 on [0, 1e6]: shooting refuses the count,
-    # FD the indices its coarse mesh does not hold
+    # FD a window top above its coarse mesh's spectrum
     doc = {**SL_CONFIG, "method": method, "window": [0.0, 1.0]}
     doc["problem"] = {**SL_CONFIG["problem"], "m1": 1e6}
     cfg = _write_config(tmp_path, doc)
     assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sl_solve_fd_refuses_a_window_above_its_mesh(tmp_path, capsys):
+    # [1e12, 2e12] holds 414 214 eigenvalues j^2 on [0, pi]; the 256-cell FD
+    # matrix ends near 1.3e4, so its empty answer would be wrong
+    doc = {**SL_CONFIG, "method": "fd", "window": [1e12, 2e12]}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "largest eigenvalue" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

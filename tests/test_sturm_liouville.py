@@ -16,6 +16,7 @@ from tubespec.sturm_liouville import (
     potential_from_json,
     problem_from_json,
     problem_to_json,
+    sample_potential,
     solve_cross_validated,
     solve_fd,
     solve_shooting,
@@ -565,6 +566,19 @@ def test_scalar_potential_is_rejected_at_construction():
         SLProblem(q=lambda u: 1.0, m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda p: solve_fd(p, 64, (0.0, 10.0)),
+    lambda p: solve_shooting(p, (0.0, 10.0)),
+    lambda p: count_below(p, 10.0),
+], ids=["fd", "shooting", "count_below"])
+def test_potential_shape_is_checked_on_every_mesh(solve):
+    # the shape holds at the 65 validation points but not on longer meshes
+    p = SLProblem(q=lambda u: 0.0 * u if u.size <= 65 else 0.0, m0=0.0, m1=math.pi,
+                  bc_left=DIR, bc_right=DIR)
+    with pytest.raises(ValueError, match=r"got shape \(\) for \(\d+,\)"):
+        solve(p)
+
+
 def test_potential_errors_reach_the_caller_unchanged():
     class Boom(Exception):
         pass
@@ -651,7 +665,7 @@ def _mp_phase(p, lam, n, k):
     """The engine's phase(lam, n, k), from _mp_advance."""
     import tubespec.sturm_liouville as sl
     h = p.length / n
-    qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5))
+    qbar = sample_potential(p.q, p.m0 + h * (np.arange(n) + 0.5))
     bc = p.bc_right
     mirror0 = math.atan2(1.0, -bc.beta) if bc.is_robin else 0.0
     return (_mp_advance(sl._theta_start(p), qbar[:k].tolist(), lam, h)
@@ -674,7 +688,7 @@ def test_phase_engine_matches_mpmath_transfer_maps(lam):
                   bc_right=DIR)
     n = 5000
     h = p.length / n
-    qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5))
+    qbar = sample_potential(p.q, p.m0 + h * (np.arange(n) + 0.5))
     want = _mp_advance(sl._theta_start(p), qbar.tolist(), lam, h)
     _assert_close_to(sl._phase_engine(p)[0](lam, n, n), want)
 
@@ -717,7 +731,7 @@ def test_phase_engine_matches_scalar_loop_on_stiff_modes(R):
     p, n = _tube_mode_problem(R), 1024
     phase, _ = sl._phase_engine(p)
     h = p.length / n
-    qbar = p.q_values(p.m0 + h * (np.arange(n) + 0.5)).tolist()
+    qbar = sample_potential(p.q, p.m0 + h * (np.arange(n) + 0.5)).tolist()
     for lam in (0.5, 3.0, 7.5, 10.0):
         want = sl._theta_start(p)
         for qc in qbar:
@@ -931,7 +945,7 @@ def test_count_below_on_tube_modes_is_cheap_and_matches_fd(monkeypatch):
         calls.clear()
         got = count_below(p, lam)
         # kappa is smallest at r0 = m0 (torus_modes.modes_below)
-        inf_q = float(p.q_values(np.array([p.m0]))[0])
+        inf_q = float(sample_potential(p.q, np.array([p.m0]))[0])
         fd = solve_fd(p, 2048, (spectral_floor(p, inf_q=inf_q) - 1.0, lam))
         assert got == len(fd.eigenvalues), (R, fam, lam)
         # the converged rule spent 131k-524k cells here, and raised on
@@ -1070,7 +1084,41 @@ def test_shooting_solves_a_window_at_the_eigenvalue_limit():
 
 
 def test_fd_refuses_a_window_beyond_its_coarse_mesh():
-    # all 255 eigenvalues of the 256-cell FD matrix on [0, 1e6] lie below 1
-    p = SLProblem(q=lambda u: 0.0 * u, m0=0.0, m1=1e6, bc_left=DIR, bc_right=DIR)
+    # a spike of 1e6 at the node u = 1/2 keeps a diagonal entry above the
+    # window top, yet 30 eigenvalues of the 32-cell matrix lie below it,
+    # where the 16-cell one has 15 in all
+    p = SLProblem(q=lambda u: 1e6 * (np.abs(u - 0.5) < 0.01), m0=0.0, m1=1.0,
+                  bc_left=DIR, bc_right=DIR)
     with pytest.raises(ValueError, match="beyond the coarse mesh"):
-        solve_fd(p, 128, (0.0, 1.0))
+        solve_fd(p, 16, (0.0, 1e5))
+
+
+@pytest.mark.parametrize("m1, window", [
+    (1e6, (0.0, 1.0)),          # all 127 eigenvalues of the 128-cell matrix lie below 1
+    (math.pi, (1e12, 2e12)),    # holds 414 214 eigenvalues j^2, all above the mesh's
+])
+def test_fd_refuses_a_window_above_its_coarse_mesh(m1, window):
+    p = SLProblem(q=lambda u: 0.0 * u, m0=0.0, m1=m1, bc_left=DIR, bc_right=DIR)
+    with pytest.raises(ValueError, match="reaches the coarse mesh's largest eigenvalue"):
+        solve_fd(p, 128, window)
+
+
+def test_shooting_checks_the_window_on_both_meshes_before_any_root(monkeypatch):
+    import tubespec.sturm_liouville as sl
+    real = sl._phase_engine
+
+    def shifted(problem):
+        phase, node = real(problem)
+        # one more eigenvalue below both window ends at the right end of mesh
+        # 128, which is mesh 2n for the first mesh n = 64
+        return (lambda lam, n, k: phase(lam, n, k) + (math.pi if k == n == 128 else 0.0),
+                node)
+
+    monkeypatch.setattr(sl, "_phase_engine", shifted)
+    calls = _count_phase_evaluations(monkeypatch, matching_only=True)
+    # a loose phase_tol accepts mesh 64 despite the shift
+    with pytest.raises(RuntimeError, match=r"phase-count / root-count mismatch between "
+                                           r"meshes 64 and 128: \[0, 1, 2, 3, 4\] vs "
+                                           r"\[1, 2, 3, 4, 5\]"):
+        solve_shooting(_dirichlet_q0(), (0.5, 30.0), phase_tol=10.0)
+    assert calls == []

@@ -8,7 +8,8 @@ import pytest
 import tubespec.tube_spectrum as ts
 from tubespec.cli import main
 from tubespec.geometry import DegenerationSchedule, schedule_instantiate
-from tubespec.sturm_liouville import SpectrumResult, solve_cross_validated, spectral_floor
+from tubespec.sturm_liouville import (
+    SpectrumResult, sample_potential, solve_cross_validated, spectral_floor)
 from tubespec.torus_modes import ModeIndex, kappa_value
 from tubespec.tube_spectrum import (
     FloorViolation,
@@ -293,7 +294,7 @@ def _below_floor(depth):
     potential is smallest.
     """
     def solve(problem, window, grid_n, phase_tol):
-        inf_q = float(problem.q_values(np.array([problem.m0]))[0])
+        inf_q = float(sample_potential(problem.q, np.array([problem.m0]))[0])
         ev = spectral_floor(problem, inf_q=inf_q) - depth
         return SpectrumResult((ev,), (1e-9,), "CrossValidated", 2 * grid_n)
     return solve
