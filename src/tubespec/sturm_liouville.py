@@ -250,8 +250,9 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
 
     Selection happens on the finer mesh (half-open window (lo, hi]); the
     coarse mesh supplies the matching global-index eigenvalues for
-    _extrapolated.  A window whose top reaches the largest eigenvalue of the
-    coarse mesh is refused: the mesh cannot represent the spectrum there.
+    _extrapolated.  A window whose top reaches the coarse matrix's largest
+    diagonal entry, a lower bound on its largest eigenvalue, is refused: the
+    mesh cannot resolve the spectrum there.
 
     scipy.linalg is imported here, not at module level: this is its only
     caller in the package, loading it costs a process about 0.17 s and
@@ -272,8 +273,8 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     # each diagonal entry is a Rayleigh quotient, so at most the largest
     # eigenvalue of the coarse mesh
     if hi >= d1.max():
-        raise ValueError(f"window top {hi!r} reaches the coarse mesh's largest "
-                         f"eigenvalue, at least {float(d1.max())!r}; increase grid_n")
+        raise ValueError(f"window top {hi!r} is at or above the coarse matrix's "
+                         f"largest diagonal entry {float(d1.max())!r}; increase grid_n")
     d2, e2 = _fd_arrays(problem, 2 * grid_n)
     lam2 = eigvalsh_tridiagonal(d2, e2, select="v", select_range=(lo, hi))
     if lam2.size == 0:

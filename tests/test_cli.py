@@ -118,27 +118,23 @@ def test_sl_solve_fd_alone(tmp_path):
                     enumerate(zip(want.eigenvalues, want.error_estimate))]
 
 
-@pytest.mark.parametrize("method", ["shooting", "fd"])
-def test_sl_solve_refuses_a_window_of_too_many_eigenvalues(tmp_path, capsys, method):
+@pytest.mark.parametrize("method, m1, window", [
     # 318 309 eigenvalues below 1 on [0, 1e6]: shooting refuses the count,
-    # FD a window top above its coarse mesh's spectrum
-    doc = {**SL_CONFIG, "method": method, "window": [0.0, 1.0]}
-    doc["problem"] = {**SL_CONFIG["problem"], "m1": 1e6}
+    # FD a window top above its coarse matrix's largest diagonal entry
+    pytest.param("shooting", 1e6, [0.0, 1.0], id="shooting"),
+    pytest.param("fd", 1e6, [0.0, 1.0], id="fd"),
+    # 414 214 eigenvalues j^2 on [0, pi]; the 256-cell FD matrix's largest
+    # diagonal entry is about 1.3e4, so its empty answer would be wrong
+    pytest.param("fd", math.pi, [1e12, 2e12], id="fd-above-mesh"),
+])
+def test_sl_solve_refuses_a_window_of_too_many_eigenvalues(tmp_path, capsys, method,
+                                                           m1, window):
+    doc = {**SL_CONFIG, "method": method, "window": window}
+    doc["problem"] = {**SL_CONFIG["problem"], "m1": m1}
     cfg = _write_config(tmp_path, doc)
     assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_sl_solve_fd_refuses_a_window_above_its_mesh(tmp_path, capsys):
-    # [1e12, 2e12] holds 414 214 eigenvalues j^2 on [0, pi]; the 256-cell FD
-    # matrix ends near 1.3e4, so its empty answer would be wrong
-    doc = {**SL_CONFIG, "method": "fd", "window": [1e12, 2e12]}
-    cfg = _write_config(tmp_path, doc)
-    assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "largest eigenvalue" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

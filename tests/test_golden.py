@@ -4,10 +4,9 @@ The files under tests/golden/<case>/ were written by the CLI on the configs
 below.  A change that means to keep behaviour must reproduce them byte for
 byte.  A change that means to alter an output rewrites them with
 
-    PYTHONPATH=src python3 tests/test_golden.py [case ...]
+    PYTHONPATH=src python3 tests/test_golden.py
 
-(every case when none is named; an unknown name exits non-zero), and the
-diff of tests/golden/ then shows exactly what changed.
+and the diff of tests/golden/ then shows exactly what changed.
 """
 
 import json
@@ -90,11 +89,7 @@ def test_golden_outputs(case, tmp_path):
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or [c[0] for c in CASES]
-    unknown = sorted(set(names) - {c[0] for c in CASES})
-    if unknown:
-        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
-    for case in (c for c in CASES if c[0] in names):
+    for case in CASES:
         target = GOLDEN / case[0]
         shutil.rmtree(target, ignore_errors=True)
         with tempfile.TemporaryDirectory() as work:

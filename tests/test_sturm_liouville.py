@@ -1099,7 +1099,7 @@ def test_fd_refuses_a_window_beyond_its_coarse_mesh():
 ])
 def test_fd_refuses_a_window_above_its_coarse_mesh(m1, window):
     p = SLProblem(q=lambda u: 0.0 * u, m0=0.0, m1=m1, bc_left=DIR, bc_right=DIR)
-    with pytest.raises(ValueError, match="reaches the coarse mesh's largest eigenvalue"):
+    with pytest.raises(ValueError, match="at or above the coarse matrix's largest diagonal entry"):
         solve_fd(p, 128, window)
 
 
