@@ -9,8 +9,9 @@ inside a finite eigenvalue window.  Two methods that share no code path:
   * Pruefer phase shooting, propagating the phase exactly across cells on
     which q is frozen at its midpoint.  One phase, run from both ends to a
     matching node, puts eigenvalue j at theta_target + j pi at every node.
-    Met at the right end it picks the mesh and counts the window; met where
-    q is lowest it stays smooth in lambda where q is stiff, and finds roots.
+    Met at the right end it counts the window; met where q is lowest it
+    stays smooth in lambda where q is stiff, and finds the roots, on meshes
+    that double until their Richardson values settle.
 
 Shooting may take FD eigenvalues as seeds for its root brackets.  A seeded
 bracket is used only after phase evaluations at its ends show the sign
@@ -63,8 +64,9 @@ MIN_INTERVAL = 1e-6
 # a 52 MB peak on a 5-eigenvalue window (2-core VM); the shooting mesh stops
 # at the same size (_N_MAX)
 MAX_FD_GRID_N = 1 << 18
-# eigenvalues in one shooting window: 6-22 ms each at mesh 128 (q = 0), 160 ms
-# at mesh 131072 (2 + sin 3u on [0, 10]), 2-core VM; 1-3 s or 20 s in all
+# eigenvalues in one shooting window: 9-19 ms each on meshes up to 256 (q = 0),
+# 43 ms each on meshes up to 2048 (2 + sin 3u on [0, 10]), 2-core VM; about
+# 2.5 s or 5.5 s in all
 MAX_SHOOTING_EIGENVALUES = 128
 
 
@@ -184,14 +186,16 @@ def _err_floor(lam: float) -> float:
     return 1e-12 * max(1.0, abs(lam))
 
 
-def _extrapolated(coarse, fine, method: str, grid_n: int) -> SpectrumResult:
-    """Richardson values (4 l_2n - l_n)/3 of eigenvalues paired by index on
-    meshes n and 2n, sorted, each with its error |l_2n - l_n|/3 >= _err_floor."""
-    coarse, fine = np.asarray(coarse, dtype=float), np.asarray(fine, dtype=float)
-    extrap = (4.0 * fine - coarse) / 3.0
-    err = np.abs(fine - coarse) / 3.0
-    order = np.argsort(extrap)
-    ev = [float(extrap[i]) for i in order]
+def _richardson(coarse, fine) -> np.ndarray:
+    """(4 l_2n - l_n)/3 of eigenvalues paired by index on meshes n and 2n."""
+    return (4.0 * np.asarray(fine, dtype=float) - np.asarray(coarse, dtype=float)) / 3.0
+
+
+def _spectrum(ev, err, method: str, grid_n: int) -> SpectrumResult:
+    """Eigenvalues sorted by value, each error kept with its value and at
+    least _err_floor."""
+    order = np.argsort(ev)
+    ev = [float(ev[i]) for i in order]
     er = [max(float(err[i]), _err_floor(ev[j])) for j, i in enumerate(order)]
     return SpectrumResult(tuple(ev), tuple(er), method, grid_n)
 
@@ -249,8 +253,8 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     """Windowed FD spectrum on meshes grid_n and 2 grid_n, extrapolated.
 
     Selection happens on the finer mesh (half-open window (lo, hi]); the
-    coarse mesh supplies the matching global-index eigenvalues for
-    _extrapolated.  A window whose top reaches the coarse matrix's largest
+    coarse mesh supplies the matching global-index eigenvalues for the
+    Richardson step.  A window whose top reaches the coarse matrix's largest
     diagonal entry, a lower bound on its largest eigenvalue, is refused: the
     mesh cannot resolve the spectrum there.
 
@@ -286,7 +290,7 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
             "window reaches eigenvalue indices beyond the coarse mesh; "
             "increase grid_n")
     lam1 = eigvalsh_tridiagonal(d1, e1, select="i", select_range=(k0, k1))
-    return _extrapolated(lam1, lam2, "FD", 2 * grid_n)
+    return _spectrum(_richardson(lam1, lam2), np.abs(lam2 - lam1) / 3.0, "FD", 2 * grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +451,19 @@ _N_MAX = 1 << 18
 
 
 def _converged_mesh(theta_at, probes, tol=_PHASE_TOL, decided=None) -> int:
-    """Smallest n (doubling from 64) with stable phases at all probe lambdas
-    on meshes n and 2n, or, sooner, with decided(n) true once both meshes
-    are evaluated; no mesh above _N_MAX is evaluated."""
+    """Smallest n (doubling from 64) at which every probe lambda is settled
+    on meshes n and 2n: decided(lam, n) gives a count, not None, or the phase
+    there changes by less than tol from n to 2n.  No mesh above _N_MAX is
+    evaluated."""
     n, worst = _N_START, math.inf
     while 2 * n <= _N_MAX:
         worst = 0.0
         for lam in probes:
-            t1 = theta_at(lam, n)
-            t2 = theta_at(lam, 2 * n)
-            worst = max(worst, abs(t2 - t1) / max(1.0, abs(t2)))
-        if worst < tol or (decided is not None and decided(n)):
+            if decided is None or decided(lam, n) is None:
+                t1 = theta_at(lam, n)
+                t2 = theta_at(lam, 2 * n)
+                worst = max(worst, abs(t2 - t1) / max(1.0, abs(t2)))
+        if worst < tol:
             return n
         n *= 2
     raise RuntimeError(
@@ -515,20 +521,22 @@ def _window_indices(theta_lo, theta_hi, target):
 # bracket is kept only when the phase at its ends shows the sign change, and
 # w grows by _WIDEN up to the whole window otherwise.  Because the phase is
 # increasing in lam, any bracket that passes holds the same unique root, so
-# a wrong estimate costs phase evaluations, never a different answer.  An
-# FD seed with error bar e starts at w = _FD_WIDTH e.  Every w is at least
-# _MIN_WIDTH max(1, |g|), about the smallest shift of a root between meshes
-# n and 2n at the default phase tolerance.
+# a wrong estimate costs phase evaluations, never a different answer.  Both
+# methods are second order, and an FD bar e estimates FD's error on its finer
+# mesh G; so an FD seed starts at w = _FD_WIDTH e (G/n)^2 on shooting mesh n.
+# Every w is at least _MIN_WIDTH max(1, |g|).
 _FD_WIDTH = 2.0
 _MIN_WIDTH = 1e-8
 _WIDEN = 4.0
 
 
-def _fd_guesses(fd_seeds, js) -> dict:
-    """{j: (estimate, half-width)} from FD results whose count matches js."""
+def _fd_guesses(fd_seeds, js, n: int) -> dict:
+    """{j: (estimate, half-width)} on shooting mesh n from FD results whose
+    count matches js."""
     if fd_seeds is None or len(fd_seeds.eigenvalues) != len(js):
         return {}
-    return {j: (lam, _FD_WIDTH * err) for j, lam, err in
+    scale = _FD_WIDTH * (fd_seeds.grid_n / n) ** 2
+    return {j: (lam, scale * err) for j, lam, err in
             zip(js, fd_seeds.eigenvalues, fd_seeds.error_estimate)}
 
 
@@ -618,31 +626,43 @@ def _bracketed_root(f, lo, hi, guess, xtol):
 
 def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                    fd_seeds: SpectrumResult | None = None) -> SpectrumResult:
-    """Windowed spectrum by Pruefer phase root finding, mesh-doubled.
+    """Windowed spectrum by Pruefer phase root finding, count first.
 
     The phase of _phase_engine is strictly increasing in lambda and reaches
-    theta_target + j pi at eigenvalue j, at every matching node k.  At the
-    right end (k = n) it picks the mesh, and on a converged mesh its values
-    at the window ends decide exactly which j fall inside, the same on
-    meshes n and 2n before any root is searched; this is what makes the
-    method miss-proof for windows that converge.  Each root is
-    then found at the matching node: where q is stiff the right-end phase
-    jumps by pi in an exponentially narrow interval of lambda, on which a
-    root finder can only bisect.
+    theta_target + j pi at eigenvalue j, at every matching node k.  First the
+    right-end phase (k = n) counts the window: the mesh doubles from 64 until
+    the counts below both window ends are decided on meshes n and 2n
+    (_decided_count), which fixes the window's indices js before any root is
+    searched.  An end whose count is never decided, because it lies on an
+    eigenvalue (snapping keeps it there for the half-open window (lo, hi]),
+    falls back to the converged phase: the mesh then also waits until the
+    right-end phase there changes by less than phase_tol from n to 2n, and
+    the indices read on meshes n and 2n must agree.  An empty js gives an
+    empty result with grid_n 2n.  The count rests on the margin rule, which
+    takes the change from n to 2n as the discretization error;
+    solve_cross_validated's FD count is its net.
 
-    A window can end sooner, while the mesh doubles: when the counts below
-    both ends are decided on meshes n and 2n (_decided_count) and are equal,
-    the window is empty, and the result is empty with grid_n 2n.  That exit
-    rests on the margin rule, which takes the change from n to 2n as the
-    discretization error; solve_cross_validated's FD count is its net.  A
-    window that is not decided empty is solved as if the exit did not exist.
+    Then each root is found at the matching node, on meshes n, 2n, 4n, ...:
+    where q is stiff the right-end phase jumps by pi in an exponentially
+    narrow interval of lambda, on which a root finder can only bisect.  The
+    mesh is accepted once the Richardson values (4 l_2m - l_m)/3 of every
+    root change by less than phase_tol max(1, |lambda|) from meshes (m/2, m)
+    to (m, 2m); so phase_tol is a relative tolerance on eigenvalues, and on
+    the phase only at a window end that falls back.  The result holds the
+    finer Richardson values, each with that change as its error, and grid_n
+    is the finest mesh.  On a smooth problem the largest change falls about
+    16-fold per mesh; where it stops falling, rounding in the phase (which
+    grows with lambda) has taken over, and the mesh is accepted there, each
+    error the larger of its last two changes.
 
-    Each root is searched in a small bracket first: on the accepted mesh n
-    around the matching FD eigenvalue of fd_seeds (used only when its count
-    equals the phase count, sized from its error bar), on mesh 2n around the
-    mesh-n root.  A bracket is used only when the phase at its ends shows the
-    sign change, otherwise it is widened up to the whole window, so the seeds
-    can change the cost of a solve but not its result.
+    Each root is searched in a small bracket first: on mesh n around the
+    matching FD eigenvalue of fd_seeds (used only when its count equals the
+    phase count, sized from its error bar), on mesh 2n around the mesh-n
+    root, and on every finer mesh around the root the last two meshes
+    predict for second-order convergence.  A bracket is used only when the
+    phase at its ends shows the sign change, otherwise it is widened up to
+    the whole window, so the seeds can change the cost of a solve but not its
+    result.
     """
     lo, hi = _check_window(window)
     phase_tol = _check_phase_tol(phase_tol)
@@ -652,14 +672,9 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     def count(lam, m):
         return _decided_count(phase(lam, m, m), phase(lam, 2 * m, 2 * m), target)
 
-    def empty(m):
-        c = count(lo, m)
-        return c is not None and c == count(hi, m)
-
     n = _converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=phase_tol,
-                        decided=empty)
-    if empty(n):
-        return SpectrumResult((), (), "Shooting", 2 * n)
+                        decided=count)
+    # on a decided end these are the decided counts
     js, js2 = (_window_indices(phase(lo, m, m), phase(hi, m, m), target)
                for m in (n, 2 * n))
     held = js.stop - js.start  # len(js) overflows past 2^63 - 1
@@ -670,16 +685,23 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
         raise RuntimeError(
             f"phase-count / root-count mismatch between meshes {n} and {2*n}: "
             f"{list(js)} vs {list(js2)}")
-    xtol = 1e-13 * max(1.0, abs(hi))
+    if not js:
+        return SpectrumResult((), (), "Shooting", 2 * n)
+    snap = count(hi, n) is None
+    # the smallest |lambda| of the window
+    least = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
 
     def root(mesh, j, guess):
         tau = target + j * math.pi
-        if phase(hi, mesh, mesh) - tau <= 0.0:
+        if snap and phase(hi, mesh, mesh) - tau <= 0.0:
             # The window test snapped theta(hi) onto this index, so the
             # eigenvalue coincides with hi to within phase roundoff and
             # there is nothing for the root finder to bracket.
             return hi
         k = node(mesh)
+        # each root to 1e-13 max(1, |root|), the scale the acceptance uses;
+        # the root is near its estimate, or anywhere in the window
+        xtol = 1e-13 * max(1.0, least if guess is None else abs(guess[0]))
         lam = _bracketed_root(lambda x: phase(x, mesh, k) - tau, lo, hi, guess, xtol)
         if lam is None:
             raise RuntimeError(
@@ -687,15 +709,32 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
                 f"{j} on mesh {mesh} over the window {(lo, hi)}")
         return lam
 
-    seeds = _fd_guesses(fd_seeds, js)
-    coarse, fine = [], []
-    for j in js:
-        coarse.append(root(n, j, seeds.get(j)))
-        # a mesh-2n root lies near the mesh-n one, and it moves less than
-        # the mesh-n root moved away from its FD seed
-        moved = abs(coarse[-1] - seeds[j][0]) if j in seeds else 0.0
-        fine.append(root(2 * n, j, (coarse[-1], moved)))
-    return _extrapolated(coarse, fine, "Shooting", 2 * n)
+    seeds = _fd_guesses(fd_seeds, js, n)
+    coarse = [root(n, j, seeds.get(j)) for j in js]
+    # a mesh-2n root lies near the mesh-n one, and it moves less than the
+    # mesh-n root moved away from its FD seed
+    fine = [root(2 * n, j, (lam, abs(lam - seeds[j][0]) if j in seeds else 0.0))
+            for j, lam in zip(js, coarse)]
+    mesh, extrap, worst, change = 2 * n, _richardson(coarse, fine), math.inf, None
+    while worst >= phase_tol:
+        if 2 * mesh > _N_MAX:
+            raise RuntimeError(
+                f"integrator step failure: extrapolated eigenvalues change by "
+                f"{worst:.3e} at n={mesh} still above {phase_tol}")
+        mesh *= 2
+        # second order: the root moves a quarter of its last step again
+        coarse, fine = fine, [root(mesh, j, (b - (a - b) / 4.0, abs(a - b) / 4.0))
+                              for j, a, b in zip(js, coarse, fine)]
+        prev, extrap = extrap, _richardson(coarse, fine)
+        last, change = change, np.abs(extrap - prev)
+        last_worst, worst = worst, float(np.max(change / np.maximum(1.0, np.abs(extrap))))
+        if worst >= last_worst:
+            # the values of a smooth problem change about 16 times less per
+            # mesh; a change that stops falling is rounding in the phase, so
+            # no finer mesh helps, and the error keeps the larger change
+            change = np.maximum(change, last)
+            break
+    return _spectrum(extrap, change, "Shooting", mesh)
 
 
 def count_below(problem: SLProblem, lambda_star: float) -> int:
@@ -721,11 +760,11 @@ def count_below(problem: SLProblem, lambda_star: float) -> int:
     def at_node(x, mesh):
         return phase(x, mesh, node(mesh))
 
-    def decided(m):
-        return _decided_count(at_node(lam, m), at_node(lam, 2 * m), target)
+    def decided(x, m):
+        return _decided_count(at_node(x, m), at_node(x, 2 * m), target)
 
-    n = _converged_mesh(at_node, (lam,), decided=lambda m: decided(m) is not None)
-    c = decided(n)
+    n = _converged_mesh(at_node, (lam,), decided=decided)
+    c = decided(lam, n)
     if c is not None:
         return c
 

@@ -102,6 +102,24 @@ def test_sl_solve_cross_solves_each_method_once(tmp_path, monkeypatch):
     assert results["cross_validated"] == checked.to_json()
 
 
+def test_sl_solve_exits_1_when_the_methods_disagree(tmp_path, monkeypatch, capsys):
+    from tubespec.sturm_liouville import SpectrumResult
+    real = cli.solve_shooting
+
+    def shifted(problem, window, **kwargs):
+        # 1e-3 above every eigenvalue, far outside FD's bar of 3e-6 at 1
+        res = real(problem, window, **kwargs)
+        return SpectrumResult(tuple(x + 1e-3 for x in res.eigenvalues),
+                              res.error_estimate, res.method, res.grid_n)
+
+    monkeypatch.setattr(cli, "solve_shooting", shifted)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, SL_CONFIG)
+    assert main(["sl-solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "verification failure: method disagreement: FD" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sl_solve_fd_alone(tmp_path):
     from tubespec.sturm_liouville import problem_from_json, solve_fd
 

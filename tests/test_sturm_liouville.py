@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import assert_within_oracle
 from tubespec.sturm_liouville import (
     BoundaryCondition,
     SLProblem,
+    SpectrumResult,
     attractive_boundary_constant,
     count_below,
+    cross_check,
     potential_from_json,
     problem_from_json,
     problem_to_json,
@@ -125,9 +128,6 @@ def test_count_below_settles_next_to_the_first_eigenvalue(lam, want):
     assert count_below(_sin2_well(), lam) == want
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="the raw n-vs-2n right-end phase rule needs more than "
-                          "2^18 cells at 9.6 (ROADMAP item 8)")
 def test_mesh_rule_accepts_a_window_just_above_the_first_eigenvalue():
     p = problem_from_json({
         "m0": 0.0, "m1": 3.0,
@@ -136,6 +136,21 @@ def test_mesh_rule_accepts_a_window_just_above_the_first_eigenvalue():
         "bc_left": {"kind": "dirichlet"}, "bc_right": {"kind": "dirichlet"}})
     res = solve_cross_validated(p, (0.0, 9.6))
     assert res.eigenvalues == pytest.approx((9.546986471228905,), rel=1e-9)
+    assert_within_oracle(res, p, (0.0, 9.6))
+
+
+def test_mesh_rule_solves_a_window_of_dozens_of_eigenvalues():
+    # both window ends are counted on meshes 64 and 128; the right-end phase
+    # at lam = 0, where q > lam, still changed by 1.07e-9 from 2^17 to 2^18
+    # cells, which the rule on the raw phase refused
+    p = problem_from_json({
+        "m0": 0.0, "m1": 20.0,
+        "q": {"type": "fourier", "period": 2.0 * math.pi / 3.0, "a0": 2.0,
+              "sin": [1.0]},
+        "bc_left": {"kind": "dirichlet"}, "bc_right": {"kind": "dirichlet"}})
+    res = solve_cross_validated(p, (0.0, 40.0))
+    assert len(res.eigenvalues) == 39
+    assert_within_oracle(res, p, (0.0, 40.0))
 
 
 def test_methods_agree_on_smooth_potentials():
@@ -175,6 +190,40 @@ def test_cross_validation_rejects_inconsistent_count(monkeypatch):
     monkeypatch.setattr(sl, "solve_fd", broken)
     with pytest.raises(RuntimeError, match="disagree"):
         sl.solve_cross_validated(p, (0.0, 30.0), grid_n=128)
+
+
+def test_cross_check_refuses_a_count_mismatch():
+    fd = SpectrumResult((1.0, 4.0), (1e-6, 1e-6), "FD", 512)
+    sh = SpectrumResult((1.0,), (1e-9,), "Shooting", 1024)
+    with pytest.raises(RuntimeError, match=r"method disagreement: FD found 2 "
+                                           r"eigenvalues, shooting found 1 in window"):
+        cross_check(fd, sh, (0.0, 5.0))
+    with pytest.raises(RuntimeError, match="FD found 1 eigenvalues, shooting found 2"):
+        cross_check(SpectrumResult((1.0,), (1e-6,), "FD", 512),
+                    SpectrumResult((1.0, 4.0), (1e-9, 1e-9), "Shooting", 1024), (0.0, 5.0))
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["fd-above", "fd-below"])
+def test_cross_check_gate_sits_at_the_combined_bar(side):
+    # the gate is gap > ef + es + 1e-9 max(1, |ls|); at ls = 100 each of its
+    # three terms is larger than the 0.1 % steps on either side of it
+    ls, es, ef = 100.0, 1e-8, 1e-7
+    bar = ef + es + 1e-9 * ls
+    sh = SpectrumResult((ls,), (es,), "Shooting", 1024)
+    window = (0.0, 200.0)
+    res = cross_check(SpectrumResult((ls + side * 0.999 * bar,), (ef,), "FD", 512),
+                      sh, window)
+    assert res.method == "CrossValidated" and res.grid_n == 512
+    assert res.eigenvalues == (ls,)
+    # the error absorbs the gap, which is above the shooting bar
+    assert res.error_estimate[0] == pytest.approx(0.999 * bar, rel=1e-6)
+    with pytest.raises(RuntimeError, match=r"method disagreement: FD .* vs shooting "
+                                           r"100\.0 exceeds combined error"):
+        cross_check(SpectrumResult((ls + side * 1.001 * bar,), (ef,), "FD", 512),
+                    sh, window)
+    # a gap below the shooting bar leaves the shooting bar
+    res = cross_check(SpectrumResult((ls + side * 0.5 * es,), (ef,), "FD", 512), sh, window)
+    assert res.error_estimate == (es,)
 
 
 def test_monotonicity_in_q():
@@ -327,11 +376,11 @@ def test_fd_seeds_cut_phase_work_but_cannot_steer_roots(case, monkeypatch):
     half = 0.5 * (hi - lo)
     bad_hints = [
         SimpleNamespace(eigenvalues=[x + half for x in fd.eigenvalues],
-                        error_estimate=fd.error_estimate),
+                        error_estimate=fd.error_estimate, grid_n=fd.grid_n),
         SimpleNamespace(eigenvalues=fd.eigenvalues[::-1],
-                        error_estimate=fd.error_estimate[::-1]),
+                        error_estimate=fd.error_estimate[::-1], grid_n=fd.grid_n),
         SimpleNamespace(eigenvalues=fd.eigenvalues[:-1],
-                        error_estimate=fd.error_estimate[:-1]),
+                        error_estimate=fd.error_estimate[:-1], grid_n=fd.grid_n),
     ]
     tol_ev = 1e-11 * max(1.0, abs(hi))
     for res in [seeded] + [solve_shooting(p, window, phase_tol=tol, fd_seeds=h)
@@ -419,8 +468,16 @@ def test_stiff_roots_cost_a_few_matched_phase_evaluations(monkeypatch):
         res = solve_shooting(p, window, phase_tol=tol, fd_seeds=seeds)
         # the right-end phase of this mode is a staircase on which brentq
         # bisects: 27-40 evaluations per root and mesh
-        assert len(res.eigenvalues) >= 1
-        assert len(calls) <= 10 * 2 * len(res.eigenvalues)
+        roots = len(res.eigenvalues)
+        assert roots >= 1
+        # roots on meshes 64, 128, ... up to grid_n: at least three levels
+        meshes = sorted(set(calls))
+        assert meshes == [64 << i for i in range(len(meshes))] and len(meshes) >= 3
+        assert meshes[-1] == res.grid_n
+        assert len(calls) <= 10 * len(meshes) * roots
+        if seeds is not None:
+            # FD's bar, scaled to each shooting mesh, sizes every bracket
+            assert all(calls.count(m) <= 10 * roots for m in meshes)
 
 
 def test_no_sign_change_of_the_matched_phase_is_a_runtime_error(monkeypatch):
@@ -782,18 +839,34 @@ def test_phase_engine_advances_each_phase_once(monkeypatch):
 
 
 def _slow_converging_problem():
-    # converges to the default phase tolerance on meshes 1024 and 2048
+    # its phase converges to the default phase tolerance on meshes 1024 and 2048
     return SLProblem(q=lambda u: 0.01 * u * u, m0=0.0, m1=math.pi,
                      bc_left=DIR, bc_right=DIR)
 
 
 def test_shooting_evaluates_no_mesh_above_the_limit(monkeypatch):
     import tubespec.sturm_liouville as sl
-    monkeypatch.setattr(sl, "_N_MAX", 1024)
+    p = _slow_converging_problem()
     calls = _count_phase_evaluations(monkeypatch)
-    with pytest.raises(RuntimeError, match=r"step failure: .* at n=1024 still"):
-        solve_shooting(_slow_converging_problem(), (0.0, 10.0))
-    assert max(calls) == 1024
+    # the window's count is decided on meshes 64 and 128, and its roots
+    # settle to the default tolerance on meshes 64, 128 and 256
+    res = solve_shooting(p, (0.0, 10.0))
+    assert len(res.eigenvalues) == 3 and res.grid_n == 256
+    assert min(calls) == 64 and max(calls) == 256
+    monkeypatch.setattr(sl, "_N_MAX", 256)
+    calls.clear()
+    with pytest.raises(RuntimeError, match=r"step failure: extrapolated eigenvalues "
+                                           r"change by .* at n=256 still above 1e-12"):
+        solve_shooting(p, (0.0, 10.0), phase_tol=1e-12)
+    assert max(calls) == 256
+    # a window end on an eigenvalue is never decided, and its right-end
+    # phase needs more than 512 cells to converge to 1e-9
+    monkeypatch.setattr(sl, "_N_MAX", 512)
+    calls.clear()
+    with pytest.raises(RuntimeError, match=r"step failure: phase residual .* "
+                                           r"at n=512 still"):
+        solve_shooting(p, (0.0, res.eigenvalues[0]))
+    assert max(calls) == 512
 
 
 def test_count_below_evaluates_no_mesh_above_the_limit(monkeypatch):
@@ -898,26 +971,39 @@ def _sl_solve_shapes():
 
 
 def test_window_counts_match_fd_and_the_converged_rule(monkeypatch):
+    import tubespec.sturm_liouville as sl
     cases = _tube_sweep_solves(monkeypatch)
     # the (1, 0) mode in both families at every R
     assert len(cases) == 12
     cases += _sl_solve_shapes()
+    counted_on = []
+    real = sl._converged_mesh
+
+    def spy(*args, **kwargs):
+        counted_on.append(real(*args, **kwargs))
+        return counted_on[-1]
+
     results = []
-    for p, window, grid_n, tol in cases:
-        fd = solve_fd(p, grid_n, window)
-        res = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
-        assert len(res.eigenvalues) == len(fd.eigenvalues)
-        results.append((p, window, tol, fd, res))
+    with monkeypatch.context() as m:
+        m.setattr(sl, "_converged_mesh", spy)
+        for p, window, grid_n, tol in cases:
+            fd = solve_fd(p, grid_n, window)
+            res = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
+            assert len(res.eigenvalues) == len(fd.eigenvalues)
+            results.append((p, window, tol, fd, res))
     assert sum(not res.eigenvalues for *_, res in results) == 6
+    # every window is counted on meshes 64 and 128
+    assert counted_on == [64] * len(cases)
     _without_decided_counts(monkeypatch)
     for p, window, tol, fd, res in results:
+        # the converged rule counts on meshes of 2k-8k cells, and its roots
+        # start there: the same eigenvalues within both bars, on finer meshes
         old = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
         assert len(old.eigenvalues) == len(res.eigenvalues)
-        if res.eigenvalues:
-            # a window that is not decided empty is solved exactly as before
-            assert res == old
-        else:
-            assert res.grid_n <= old.grid_n
+        assert res.grid_n <= old.grid_n
+        for new, new_err, was, was_err in zip(res.eigenvalues, res.error_estimate,
+                                              old.eigenvalues, old.error_estimate):
+            assert abs(new - was) <= new_err + was_err
 
 
 @pytest.mark.parametrize("R", [5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
@@ -1116,7 +1202,14 @@ def test_shooting_checks_the_window_on_both_meshes_before_any_root(monkeypatch):
 
     monkeypatch.setattr(sl, "_phase_engine", shifted)
     calls = _count_phase_evaluations(monkeypatch, matching_only=True)
-    # a loose phase_tol accepts mesh 64 despite the shift
+    # a count is decided only where meshes n and 2n agree, so the counts on
+    # (64, 128) and (128, 256) stay undecided, the window is counted on
+    # (256, 512), and no root is searched on a coarser mesh
+    res = solve_shooting(_dirichlet_q0(), (0.5, 30.0))
+    assert res.eigenvalues == pytest.approx((1.0, 4.0, 9.0, 16.0, 25.0), rel=1e-10)
+    assert min(calls) == 256
+    calls.clear()
+    # a loose phase_tol accepts the converged phase on mesh 64 despite the shift
     with pytest.raises(RuntimeError, match=r"phase-count / root-count mismatch between "
                                            r"meshes 64 and 128: \[0, 1, 2, 3, 4\] vs "
                                            r"\[1, 2, 3, 4, 5\]"):
