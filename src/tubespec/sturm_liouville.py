@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import check_fields, check_float
+from .jsonio import check_fields, check_float, check_int
 
 __all__ = [
     "BoundaryCondition",
@@ -264,6 +264,7 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
+    grid_n = check_int(grid_n, "grid_n")
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
     if grid_n > MAX_FD_GRID_N:
@@ -450,27 +451,6 @@ _N_START = 64
 _N_MAX = 1 << 18
 
 
-def _converged_mesh(theta_at, probes, tol=_PHASE_TOL, decided=None) -> int:
-    """Smallest n (doubling from 64) at which every probe lambda is settled
-    on meshes n and 2n: decided(lam, n) gives a count, not None, or the phase
-    there changes by less than tol from n to 2n.  No mesh above _N_MAX is
-    evaluated."""
-    n, worst = _N_START, math.inf
-    while 2 * n <= _N_MAX:
-        worst = 0.0
-        for lam in probes:
-            if decided is None or decided(lam, n) is None:
-                t1 = theta_at(lam, n)
-                t2 = theta_at(lam, 2 * n)
-                worst = max(worst, abs(t2 - t1) / max(1.0, abs(t2)))
-        if worst < tol:
-            return n
-        n *= 2
-    raise RuntimeError(
-        f"integrator step failure: phase residual {worst:.3e} at n={n} "
-        f"still above {tol}")
-
-
 _SNAP_TOL = 1e-12
 
 
@@ -510,10 +490,39 @@ def _decided_count(theta_n: float, theta_2n: float, target: float) -> int | None
     return max(0, math.ceil(u2))
 
 
-def _window_indices(theta_lo, theta_hi, target):
-    j_min = math.floor(_phase_units(theta_lo, target)) + 1
-    j_max = math.floor(_phase_units(theta_hi, target))
-    return range(max(0, j_min), j_max + 1)
+def _settled(theta_at, probes, target, tol):
+    """(n, units): the smallest n, doubling from 64, at which every probe
+    lambda is settled on meshes n and 2n, with the mesh-2n phase units
+    (theta_at(lam, 2n) - target)/pi of each probe.
+
+    A probe is settled when _decided_count decides it, or when its phase
+    changes by less than tol, relative to max(1, |theta|), and both meshes
+    give the same floor and ceiling of units, as at a lambda on an
+    eigenvalue, whose units snap onto the integer.  So settled units read
+    the same count on both meshes.  Where the meshes disagree the mesh
+    doubles again; no mesh above _N_MAX is evaluated.
+    """
+    n = _N_START
+    while True:
+        units, unsettled = [], None
+        for lam in probes:
+            t1, t2 = theta_at(lam, n), theta_at(lam, 2 * n)
+            u1, u2 = _phase_units(t1, target), _phase_units(t2, target)
+            units.append(u2)
+            change = abs(t2 - t1) / max(1.0, abs(t2))
+            if _decided_count(t1, t2, target) is None and not (
+                    change < tol and math.floor(u1) == math.floor(u2)
+                    and math.ceil(u1) == math.ceil(u2)):
+                unsettled = unsettled or (lam, u1, u2, change)
+        if unsettled is None:
+            return n, units
+        if 4 * n > _N_MAX:
+            lam, u1, u2, change = unsettled
+            raise RuntimeError(
+                f"integrator step failure: the count below {lam!r} is not settled "
+                f"on meshes {n} and {2 * n}: phase units {u1!r} and {u2!r}, "
+                f"relative phase change {change:.3e} against {tol}")
+        n *= 2
 
 
 # Root brackets.  Root j is found on each mesh's phase at the matching
@@ -630,17 +639,16 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
 
     The phase of _phase_engine is strictly increasing in lambda and reaches
     theta_target + j pi at eigenvalue j, at every matching node k.  First the
-    right-end phase (k = n) counts the window: the mesh doubles from 64 until
-    the counts below both window ends are decided on meshes n and 2n
-    (_decided_count), which fixes the window's indices js before any root is
-    searched.  An end whose count is never decided, because it lies on an
-    eigenvalue (snapping keeps it there for the half-open window (lo, hi]),
-    falls back to the converged phase: the mesh then also waits until the
-    right-end phase there changes by less than phase_tol from n to 2n, and
-    the indices read on meshes n and 2n must agree.  An empty js gives an
-    empty result with grid_n 2n.  The count rests on the margin rule, which
-    takes the change from n to 2n as the discretization error;
-    solve_cross_validated's FD count is its net.
+    right-end phase (k = n) counts the window: _settled doubles the mesh from
+    64 until the phase units u at both window ends are settled on meshes n
+    and 2n, and the window's indices are floor(u_lo) + 1 ... floor(u_hi),
+    fixed before any root is searched.  An end normally settles by the
+    margin rule of _decided_count, which takes the change from n to 2n as
+    the discretization error (solve_cross_validated's FD count is its net).
+    An end on an eigenvalue never does: snapping keeps its units on the
+    integer, for the half-open window (lo, hi], and it settles once its
+    phase changes by less than phase_tol and both meshes read the same
+    count.  An empty window gives an empty result with grid_n 2n.
 
     Then each root is found at the matching node, on meshes n, 2n, 4n, ...:
     where q is stiff the right-end phase jumps by pi in an exponentially
@@ -648,7 +656,7 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     mesh is accepted once the Richardson values (4 l_2m - l_m)/3 of every
     root change by less than phase_tol max(1, |lambda|) from meshes (m/2, m)
     to (m, 2m); so phase_tol is a relative tolerance on eigenvalues, and on
-    the phase only at a window end that falls back.  The result holds the
+    the phase only at a window end on an eigenvalue.  The result holds the
     finer Richardson values, each with that change as its error, and grid_n
     is the finest mesh.  On a smooth problem the largest change falls about
     16-fold per mesh; where it stops falling, rounding in the phase (which
@@ -662,32 +670,25 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
     predict for second-order convergence.  A bracket is used only when the
     phase at its ends shows the sign change, otherwise it is widened up to
     the whole window, so the seeds can change the cost of a solve but not its
-    result.
+    result.  The count (at the right end) and the roots (at the matching
+    node) are two readings of one phase: an index whose phase shows no sign
+    change over the whole window contradicts the count, and is raised.
     """
     lo, hi = _check_window(window)
     phase_tol = _check_phase_tol(phase_tol)
     phase, node = _phase_engine(problem)
     target = _theta_target(problem)
 
-    def count(lam, m):
-        return _decided_count(phase(lam, m, m), phase(lam, 2 * m, 2 * m), target)
-
-    n = _converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=phase_tol,
-                        decided=count)
-    # on a decided end these are the decided counts
-    js, js2 = (_window_indices(phase(lo, m, m), phase(hi, m, m), target)
-               for m in (n, 2 * n))
+    n, (u_lo, u_hi) = _settled(lambda lam, m: phase(lam, m, m), (lo, hi), target,
+                               phase_tol)
+    js = range(max(0, math.floor(u_lo) + 1), math.floor(u_hi) + 1)
     held = js.stop - js.start  # len(js) overflows past 2^63 - 1
     if held > MAX_SHOOTING_EIGENVALUES:
         raise ValueError(f"window {(lo, hi)} holds {held} eigenvalues, "
                          f"above the limit of {MAX_SHOOTING_EIGENVALUES}")
-    if js != js2:
-        raise RuntimeError(
-            f"phase-count / root-count mismatch between meshes {n} and {2*n}: "
-            f"{list(js)} vs {list(js2)}")
     if not js:
         return SpectrumResult((), (), "Shooting", 2 * n)
-    snap = count(hi, n) is None
+    snap = _decided_count(phase(hi, n, n), phase(hi, 2 * n, 2 * n), target) is None
     # the smallest |lambda| of the window
     least = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
 
@@ -738,51 +739,22 @@ def solve_shooting(problem: SLProblem, window, phase_tol=_PHASE_TOL, *,
 
 
 def count_below(problem: SLProblem, lambda_star: float) -> int:
-    """Number of eigenvalues strictly below lambda_star, decided by a margin rule.
+    """Number of eigenvalues strictly below lambda_star, settled as a
+    shooting window end is.
 
-    Independent of the windowed solvers: the phase at the matching node,
-    which next to an eigenvalue settles on far coarser meshes than the
-    right-end phase, gives the count ceil((phase - theta_target)/pi).  The
-    mesh doubles from 64 until meshes n and 2n decide the count by the
-    margin rule of _decided_count, which settles the tube modes on meshes
-    of at most 1024 cells.  The rule is a heuristic: it takes the change
-    between the two meshes as the bound on the discretization error.  Where
-    it never decides, as at an eigenvalue, the phase is converged to 1e-9
-    and the counts of two consecutive meshes must agree.  No mesh above
-    _N_MAX is evaluated.
+    Independent of the windowed solvers: it reads the phase at the matching
+    node, which next to an eigenvalue settles on far coarser meshes than the
+    right-end phase.  _settled doubles the mesh from 64 until the phase units
+    u there are settled on meshes n and 2n, which takes at most 1024 cells
+    on the tube modes, and the count is max(0, ceil(u)).  The margin rule is
+    a heuristic: it takes the change between the two meshes as the bound on
+    the discretization error.  No mesh above _N_MAX is evaluated.
     """
-    lam = float(lambda_star)
-    if not math.isfinite(lam):
-        raise ValueError("lambda_star must be finite")
+    lam = check_float(lambda_star, "lambda_star")
     phase, node = _phase_engine(problem)
-    target = _theta_target(problem)
-
-    def at_node(x, mesh):
-        return phase(x, mesh, node(mesh))
-
-    def decided(x, m):
-        return _decided_count(at_node(x, m), at_node(x, 2 * m), target)
-
-    n = _converged_mesh(at_node, (lam,), decided=decided)
-    c = decided(lam, n)
-    if c is not None:
-        return c
-
-    def count_at(mesh):
-        return max(0, math.ceil(_phase_units(at_node(lam, mesh), target)))
-
-    c1, c2 = count_at(n), count_at(2 * n)
-    if c1 != c2:
-        if 4 * n > _N_MAX:
-            raise RuntimeError(
-                f"phase-count mismatch: counts {c1}, {c2} on meshes {n} and "
-                f"{2*n}, and mesh {4*n} is above the limit of {_N_MAX}")
-        c3 = count_at(4 * n)
-        if c3 != c2:
-            raise RuntimeError(
-                f"phase-count mismatch: counts {c1}, {c2}, {c3} over mesh doubling")
-        c2 = c3
-    return c2
+    _, (units,) = _settled(lambda x, m: phase(x, m, node(m)), (lam,),
+                           _theta_target(problem), _PHASE_TOL)
+    return max(0, math.ceil(units))
 
 
 def cross_check(fd: SpectrumResult, sh: SpectrumResult, window) -> SpectrumResult:

@@ -1,0 +1,92 @@
+"""Mutation check of the count and certificate path: tier-1 must fail on each mutant.
+
+Run by hand from the repository root; pytest does not collect this file:
+
+    python3 tests/mutants.py              # every mutant
+    python3 tests/mutants.py NAME ...     # the named mutants
+
+For each mutant the tree is copied to a temporary directory, one text
+replacement is made in one file under src/, and tier-1 runs there with -x.
+A mutant is killed when that run fails.  The checkout itself is never
+changed, and no mutant edits a test.  A mutant whose text no longer occurs
+exactly once is reported as stale, not run.  A run takes 10-45 s, so the
+whole list takes a few minutes; the exit code is 1 when any mutant survives
+without an argument for its equivalence, or is stale.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SL = "src/tubespec/sturm_liouville.py"
+
+# (name, file, old text, new text, why the mutant is equivalent or None)
+MUTANTS = [
+    ("count_margin_1", SL, "_COUNT_MARGIN = 4.0", "_COUNT_MARGIN = 1.0", None),
+    ("settle_without_floor_ceil", SL,
+     "change < tol and math.floor(u1) == math.floor(u2)\n"
+     "                    and math.ceil(u1) == math.ceil(u2)):",
+     "change < tol):", None),
+    ("settle_tol_10x", SL, "change < tol and", "change <= 10 * tol and", None),
+    ("snap_tol_1e-7", SL, "_SNAP_TOL = 1e-12", "_SNAP_TOL = 1e-7", None),
+    ("window_from_floor_lo", SL, "math.floor(u_lo) + 1", "math.floor(u_lo)", None),
+    ("cross_check_no_count", SL,
+     "if len(fd.eigenvalues) != len(sh.eigenvalues):", "if False:", None),
+    ("cross_check_gap_10x", SL,
+     "if gap > ef + es + 1e-9 * max(1.0, abs(ls)):",
+     "if gap > 10.0 * (ef + es) + 1e-9 * max(1.0, abs(ls)):", None),
+    ("cross_check_error_es", SL, "er.append(max(es, gap))", "er.append(es)", None),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                ".perfbench_work", "*.egg-info")
+
+
+def run_mutant(name, path, old, new, timeout=900.0):
+    """('killed' | 'survived' | 'stale', seconds, first failing line)."""
+    if not path.startswith("src/"):
+        raise ValueError(f"mutant {name} edits {path}, outside src/")
+    source = (ROOT / path).read_text(encoding="utf-8")
+    if source.count(old) != 1:
+        return "stale", 0.0, f"{old!r} occurs {source.count(old)} times in {path}"
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        (tree / path).write_text(source.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        start = time.perf_counter()
+        proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+        seconds = time.perf_counter() - start
+    failed = next((line for line in proc.stdout.splitlines()
+                   if line.startswith(("FAILED", "ERROR"))), "")
+    return ("killed" if proc.returncode != 0 else "survived"), seconds, failed
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for name, path, old, new, equivalent in chosen:
+        status, seconds, detail = run_mutant(name, path, old, new)
+        if status == "survived" and equivalent:
+            status, detail = "equivalent", equivalent
+        bad += status in ("survived", "stale")
+        print(f"{name:28s} {status:10s} {seconds:6.1f} s  {detail}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

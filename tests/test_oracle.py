@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tubespec.sturm_liouville as sl
 from oracle import assert_within_oracle, collocation_eigenvalues
@@ -106,3 +108,61 @@ def test_tube_sweep_lies_within_its_bars_of_the_oracle(monkeypatch):
     assert sum(len(result.eigenvalues) for *_, result in solved) == 6
     for problem, window, result in solved:
         assert_within_oracle(result, problem, window)
+
+
+# Window counts.  The oracle has no inertia count, so its count of a window
+# decides nothing where one of its eigenvalues lies within rounding of an
+# end; these gates compare counts only where every oracle eigenvalue lies
+# farther than CLEAR bars from both ends.
+CLEAR = 100.0
+
+
+def _clear_of(window, ev, bars) -> bool:
+    return all(abs(v - end) > CLEAR * bar for v, bar in zip(ev, bars) for end in window)
+
+
+def test_window_counts_next_to_eigenvalues_match_the_oracle():
+    from test_sturm_liouville import _sl_solve_shapes
+    checked = 0
+    for problem, (lo, hi), _, _ in _sl_solve_shapes():
+        ev, bars = collocation_eigenvalues(problem, (lo, hi))
+        assert ev
+        # ends 1e-7 relative to either side of each eigenvalue: one
+        # eigenvalue between a pair around it, none between a pair inside a gap
+        eps = [1e-7 * max(1.0, abs(v)) for v in ev]
+        windows = [(v - e, v + e) for v, e in zip(ev, eps)]
+        windows += [(v + e, w - f) for v, e, w, f in zip(ev, eps, ev[1:], eps[1:])]
+        for window in windows:
+            assert _clear_of(window, ev, bars), window
+            want = sum(window[0] < v <= window[1] for v in ev)
+            assert len(sl.solve_shooting(problem, window).eigenvalues) == want, window
+            checked += 1
+    assert checked == 9
+
+
+_COEFF = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(length=st.floats(0.5, 4.0), period=st.floats(1.0, 8.0), a0=st.floats(-5.0, 5.0),
+       cos_c=st.lists(_COEFF, max_size=4), sin_c=st.lists(_COEFF, max_size=4),
+       betas=st.tuples(*[st.none() | st.floats(-2.0, 2.0)] * 2),
+       width=st.floats(1.0, 60.0))
+def test_fourier_potentials_lie_within_their_bars_of_the_oracle(
+        length, period, a0, cos_c, sin_c, betas, width):
+    spec = {"type": "fourier", "period": period, "a0": a0, "cos": cos_c, "sin": sin_c}
+    bc = [sl.BoundaryCondition.dirichlet() if b is None else sl.BoundaryCondition.robin(b)
+          for b in betas]
+    problem = sl.SLProblem(q=sl.potential_from_json(spec), m0=0.0, m1=length,
+                           bc_left=bc[0], bc_right=bc[1])
+    inf_q = a0 - sum(map(abs, cos_c)) - sum(map(abs, sin_c))
+    lo = sl.spectral_floor(problem, inf_q=inf_q) - 1.0
+    window = (lo, lo + width)
+    # the oracle one unit past both ends sees the eigenvalues next to them
+    ev, bars = collocation_eigenvalues(problem, (lo - 1.0, lo + width + 1.0))
+    assume(_clear_of(window, ev, bars))
+    inside = [(v, bar) for v, bar in zip(ev, bars) if lo < v <= lo + width]
+    result = sl.solve_cross_validated(problem, window)
+    assert len(result.eigenvalues) == len(inside), (result.eigenvalues, inside)
+    for got, err, (want, bar) in zip(result.eigenvalues, result.error_estimate, inside):
+        assert abs(got - want) <= err + bar, (got, err, want, bar)

@@ -1,6 +1,7 @@
 """Windowed 1-D eigenvalue solvers: classical fixtures, counts, agreement."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -407,13 +408,23 @@ _MATCHED_IDS = ["smooth", "tube", "repulsive"]
 
 
 def _matched_setup(case):
-    """The phase engine of a matched test problem and its converged mesh."""
+    """The phase engine of a matched test problem and its converged mesh: the
+    settle rule with no decided counts, so the right-end phase at both window
+    ends changes by less than the tolerance from n to 2n."""
     import tubespec.sturm_liouville as sl
     p, (lo, hi), _, tol = _matched_test_problems()[case]
     phase, node = sl._phase_engine(p)
     target = sl._theta_target(p)
-    n = sl._converged_mesh(lambda lam, m: phase(lam, m, m), (lo, hi), tol=tol)
+    with mock.patch.object(sl, "_decided_count", lambda *args: None):
+        n, _ = sl._settled(lambda lam, m: phase(lam, m, m), (lo, hi), target, tol)
     return phase, node, target, n, (lo, hi)
+
+
+def _indices(theta_lo, theta_hi, target):
+    """Window indices floor(u_lo) + 1 ... floor(u_hi) from the phases at its ends."""
+    import tubespec.sturm_liouville as sl
+    u_lo, u_hi = (sl._phase_units(t, target) for t in (theta_lo, theta_hi))
+    return range(max(0, math.floor(u_lo) + 1), math.floor(u_hi) + 1)
 
 
 def _matching_nodes(node, mesh):
@@ -429,11 +440,11 @@ def test_matched_phase_counts_like_the_right_end_phase(case):
     def count(lam, k):
         return max(0, math.ceil(sl._phase_units(phase(lam, n, k), target)))
 
-    js = sl._window_indices(phase(lo, n, n), phase(hi, n, n), target)
+    js = _indices(phase(lo, n, n), phase(hi, n, n), target)
     assert js
     for k in _matching_nodes(node, n):
         # eigenvalue j sits at target + j pi whichever node the runs meet at
-        assert sl._window_indices(phase(lo, n, k), phase(hi, n, k), target) == js, k
+        assert _indices(phase(lo, n, k), phase(hi, n, k), target) == js, k
         for lam in np.linspace(lo, hi, 21).tolist():
             assert count(lam, k) == count(lam, n), (k, lam)
 
@@ -445,13 +456,12 @@ def test_matched_roots_agree_with_right_end_roots(case):
     phase, node, target, n, (lo, hi) = _matched_setup(case)
     xtol = 1e-13 * max(1.0, abs(hi))
     for mesh in (n, 2 * n):
-        js = sl._window_indices(phase(lo, mesh, mesh), phase(hi, mesh, mesh), target)
+        js = _indices(phase(lo, mesh, mesh), phase(hi, mesh, mesh), target)
         assert js
         refs = [brentq(lambda x: phase(x, mesh, mesh) - (target + j * math.pi),
                        lo, hi, xtol=xtol, rtol=8.9e-16) for j in js]
         for k in _matching_nodes(node, mesh):
-            assert sl._window_indices(phase(lo, mesh, k), phase(hi, mesh, k),
-                                      target) == js, (mesh, k)
+            assert _indices(phase(lo, mesh, k), phase(hi, mesh, k), target) == js, (mesh, k)
             for j, ref in zip(js, refs):
                 got = sl._bracketed_root(
                     lambda x: phase(x, mesh, k) - (target + j * math.pi),
@@ -863,8 +873,9 @@ def test_shooting_evaluates_no_mesh_above_the_limit(monkeypatch):
     # phase needs more than 512 cells to converge to 1e-9
     monkeypatch.setattr(sl, "_N_MAX", 512)
     calls.clear()
-    with pytest.raises(RuntimeError, match=r"step failure: phase residual .* "
-                                           r"at n=512 still"):
+    with pytest.raises(RuntimeError, match=r"step failure: the count below .* is not "
+                                           r"settled on meshes 256 and 512: .* relative "
+                                           r"phase change .* against 1e-09"):
         solve_shooting(p, (0.0, res.eigenvalues[0]))
     assert max(calls) == 512
 
@@ -880,15 +891,19 @@ def test_count_below_evaluates_no_mesh_above_the_limit(monkeypatch):
         return phase(x, m, node(m))
 
     # lam between the second eigenvalues of meshes n and 2n: their counts
-    # differ, and count_below would settle it on mesh 4n
+    # differ although the phase has converged, so the count settles on
+    # meshes 2n and 4n
     roots = [brentq(lambda x: at_node(x, m) - target - math.pi, 0.5, 8.0,
                     xtol=1e-15) for m in (n, 2 * n)]
     lam = 0.5 * sum(roots)
-    assert sl._converged_mesh(at_node, (lam,)) == n
+    t1, t2 = at_node(lam, n), at_node(lam, 2 * n)
+    assert abs(t2 - t1) / max(1.0, abs(t2)) < sl._PHASE_TOL
+    assert sl._settled(at_node, (lam,), target, sl._PHASE_TOL)[0] == 2 * n
     assert count_below(p, lam) == 2
     monkeypatch.setattr(sl, "_N_MAX", 2 * n)
     calls = _count_phase_evaluations(monkeypatch)
-    with pytest.raises(RuntimeError, match="mesh 4096 is above the limit"):
+    with pytest.raises(RuntimeError, match="the count below .* is not settled on "
+                                           "meshes 1024 and 2048"):
         count_below(p, lam)
     assert max(calls) == 2 * n
 
@@ -901,6 +916,33 @@ def test_phase_tol_must_be_a_positive_number(tol):
         solve_shooting(p, (0.0, 30.0), phase_tol=tol)
     with pytest.raises(ValueError, match="phase_tol"):
         solve_cross_validated(p, (0.0, 30.0), grid_n=128, phase_tol=tol)
+
+
+_BAD_NUMBERS = [
+    ("count_below", "3", "lambda_star must be a finite number"),
+    ("count_below", True, "lambda_star must be a finite number"),
+    ("count_below", math.nan, "lambda_star must be a finite number"),
+    ("count_below", math.inf, "lambda_star must be a finite number"),
+    ("solve_fd", 256.5, "grid_n must be an integer"),
+    ("solve_fd", True, "grid_n must be an integer"),
+    ("solve_fd", "256", "grid_n must be an integer"),
+    ("solve_fd", math.nan, "grid_n must be an integer"),
+]
+
+
+@pytest.mark.parametrize("solver, value, message", _BAD_NUMBERS,
+                         ids=[f"{f}-{v!r}" for f, v, _ in _BAD_NUMBERS])
+def test_solver_number_arguments_must_be_numbers(solver, value, message):
+    p = _dirichlet_q0()
+    solve = {"count_below": lambda v: count_below(p, v),
+             "solve_fd": lambda v: solve_fd(p, v, (0.0, 30.0))}[solver]
+    with pytest.raises(ValueError, match=message):
+        solve(value)
+
+
+def test_fd_takes_an_integral_float_grid_n():
+    p = _dirichlet_q0()
+    assert solve_fd(p, 256.0, (0.0, 30.0)) == solve_fd(p, 256, (0.0, 30.0))
 
 
 def test_phase_is_monotone_just_above_a_plateau_of_q():
@@ -922,7 +964,7 @@ def test_phase_is_monotone_just_above_a_plateau_of_q():
 
 # Counts decided before the phase converges.  The oracles: solve_fd, which
 # shares no code with the phase engine, and solve_shooting with the rule
-# switched off, which is the converged-mesh path on its own.
+# switched off, which leaves the settle rule its converged-phase path alone.
 
 
 def _without_decided_counts(monkeypatch):
@@ -977,15 +1019,16 @@ def test_window_counts_match_fd_and_the_converged_rule(monkeypatch):
     assert len(cases) == 12
     cases += _sl_solve_shapes()
     counted_on = []
-    real = sl._converged_mesh
+    real = sl._settled
 
     def spy(*args, **kwargs):
-        counted_on.append(real(*args, **kwargs))
-        return counted_on[-1]
+        settled = real(*args, **kwargs)
+        counted_on.append(settled[0])
+        return settled
 
     results = []
     with monkeypatch.context() as m:
-        m.setattr(sl, "_converged_mesh", spy)
+        m.setattr(sl, "_settled", spy)
         for p, window, grid_n, tol in cases:
             fd = solve_fd(p, grid_n, window)
             res = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
@@ -1209,9 +1252,12 @@ def test_shooting_checks_the_window_on_both_meshes_before_any_root(monkeypatch):
     assert res.eigenvalues == pytest.approx((1.0, 4.0, 9.0, 16.0, 25.0), rel=1e-10)
     assert min(calls) == 256
     calls.clear()
-    # a loose phase_tol accepts the converged phase on mesh 64 despite the shift
-    with pytest.raises(RuntimeError, match=r"phase-count / root-count mismatch between "
-                                           r"meshes 64 and 128: \[0, 1, 2, 3, 4\] vs "
-                                           r"\[1, 2, 3, 4, 5\]"):
+    # even a loose phase_tol settles no count on meshes that disagree: with
+    # no mesh above 256, the window is refused before any root
+    monkeypatch.setattr(sl, "_N_MAX", 256)
+    every = _count_phase_evaluations(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"step failure: the count below 0\.5 is not "
+                                           r"settled on meshes 128 and 256: "):
         solve_shooting(_dirichlet_q0(), (0.5, 30.0), phase_tol=10.0)
     assert calls == []
+    assert max(every) == 256
