@@ -24,6 +24,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _X = [i / 10.0 for i in range(11)]
 
+# perfbench's first sl_solve template without jitter, which has a Robin end
+FOURIER = {
+    "problem": {
+        "m0": 0.0, "m1": 2.0,
+        "q": {"type": "fourier", "period": 2.0 * math.pi, "a0": 1.897,
+              "cos": [0.0, 0.901, -0.342], "sin": [0.024, 0.0, -0.625]},
+        "bc_left": {"kind": "dirichlet"},
+        "bc_right": {"kind": "robin", "beta": -0.565},
+    },
+    "window": [0.0, 12.0],
+}
+
 # (case directory, subcommand, config or None, exit code)
 CASES = [
     ("sl-solve", "sl-solve", {
@@ -36,19 +48,10 @@ CASES = [
         "window": [0.0, 30.0],
         "method": "cross",
     }, 0),
-    # perfbench's first sl_solve template without jitter: a Robin end and a
-    # shooting mesh of 32768 cells
-    ("sl-solve-fourier", "sl-solve", {
-        "problem": {
-            "m0": 0.0, "m1": 2.0,
-            "q": {"type": "fourier", "period": 2.0 * math.pi, "a0": 1.897,
-                  "cos": [0.0, 0.901, -0.342], "sin": [0.024, 0.0, -0.625]},
-            "bc_left": {"kind": "dirichlet"},
-            "bc_right": {"kind": "robin", "beta": -0.565},
-        },
-        "window": [0.0, 12.0],
-        "method": "cross",
-    }, 0),
+    ("sl-solve-fourier", "sl-solve", {**FOURIER, "method": "cross"}, 0),
+    # the same problem by each method alone
+    ("sl-solve-fourier-fd", "sl-solve", {**FOURIER, "method": "fd"}, 0),
+    ("sl-solve-fourier-shooting", "sl-solve", {**FOURIER, "method": "shooting"}, 0),
     ("tube-sweep", "tube-sweep", {"R_grid": [1.2, 10], "lambda_max": 10}, 0),
     ("bound", "bound", {
         "mu_set": [1.0, 1.0],

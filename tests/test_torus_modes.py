@@ -291,8 +291,8 @@ def test_verify_identities_sees_a_modulus_that_varies_in_t(monkeypatch):
 def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
     # the import alone, then each subcommand on its golden config, each in a
     # fresh interpreter, so a lazy import inside a solve shows too.  Only
-    # solve_fd imports scipy (scipy.linalg), and only sl-solve and tube-sweep
-    # reach it; the rest start without scipy
+    # solve_fd imports scipy (scipy.linalg), and only tube-sweep and sl-solve
+    # by fd or cross reach it; the rest start without scipy
     from test_golden import CASES
     code = ("import json, sys, tubespec.cli; "
             "codes = [tubespec.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
@@ -300,9 +300,10 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
             "print(json.dumps([codes, len(scipy), sorted({m.split('.')[1] for m in scipy "
             "if '.' in m and not m.split('.')[1].startswith('_')})]))")
     env = dict(os.environ, PYTHONPATH=str(Path(tubespec.__file__).resolve().parents[1]))
-    runs, subs = {"import": ([], [])}, {}
+    runs, uses_fd = {"import": ([], [])}, set()
     for i, (name, sub, config, exit_code) in enumerate(CASES):
-        subs[name] = sub
+        if sub == "tube-sweep" or sub == "sl-solve" and config["method"] != "shooting":
+            uses_fd.add(name)
         argv = [sub, "--out", str(tmp_path / f"out{i}")]
         if config is not None:
             path = tmp_path / f"config{i}.json"
@@ -317,8 +318,7 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
         assert codes == codes_expected, name
         loaded[name] = subpackages if count else None
     # scipy.version comes with any import of scipy
-    assert loaded == {name: ["linalg", "version"]
-                      if subs.get(name) in ("sl-solve", "tube-sweep") else None
+    assert loaded == {name: ["linalg", "version"] if name in uses_fd else None
                       for name in runs}
 
 
