@@ -24,8 +24,8 @@ import json
 import sys
 from pathlib import Path
 
-from .dissection import berger_scaling, c_rho_from_partition, \
-    cover_from_json, cover_to_json, dirac_bound, laplacian_bound
+from .dissection import berger_scaling, cover_from_json, cover_to_json, \
+    dirac_bound, laplacian_bound
 from .discrete_hodge import s1_case_study
 from .geometry import DegenerationSchedule, schedule_from_json, schedule_to_json
 from .jsonio import check_fields, check_float, check_int, write_csv, write_json
@@ -148,17 +148,6 @@ def cmd_tube_sweep(args, config: dict):
 
 
 def cmd_bound(args, config: dict):
-    # C_rho may be given directly or as a sampled partition of unity
-    # {"step": h, "rho": [[..], ..], "periodic": bool}
-    c_rho = config.get("C_rho")
-    if isinstance(c_rho, dict):
-        check_fields(c_rho, "C_rho", {"step", "rho", "periodic"}, ("step", "rho"))
-        config = dict(config)
-        rho = [[check_float(x, "C_rho rho sample") for x in row]
-               for row in c_rho["rho"]]
-        config["C_rho"] = c_rho_from_partition(
-            rho, check_float(c_rho["step"], "C_rho step"),
-            periodic=c_rho.get("periodic", False))
     cover = cover_from_json(config)
     ordered = bool(args.ordered)
     want_dirac = args.dirac or not args.laplacian

@@ -287,6 +287,10 @@ def c_rho_from_partition(samples, step: float, periodic: bool = False) -> float:
 # ---------------------------------------------------------------------------
 # JSON schema: { "mu_set": [..], "adjacency": [[..],..], "mu_pair": {"i-j": v},
 #                "C_rho": v, "h_pair": {"i-j": d}, "h_triple": {"i-j-k": d} }
+# C_rho may instead be a sampled partition of unity,
+#   {"step": h, "rho": [[..], ..], "periodic": bool (default false)},
+# which cover_from_json reads as c_rho_from_partition(rho, h, periodic).
+# cover_to_json writes C_rho as the number.
 
 
 def _parse_dash_key(key: str, parts: int) -> tuple:
@@ -304,6 +308,16 @@ def _dash_keyed(spec: dict, name: str, parts: int) -> dict:
             for k, v in check_fields(spec.get(name, {}), name).items()}
 
 
+def _c_rho_from_json(value):
+    """C_rho as given, or computed from its partition form."""
+    if not isinstance(value, dict):
+        return value
+    check_fields(value, "C_rho", {"step", "rho", "periodic"}, ("step", "rho"))
+    rho = [[check_float(x, "C_rho rho sample") for x in row] for row in value["rho"]]
+    return c_rho_from_partition(rho, check_float(value["step"], "C_rho step"),
+                                periodic=value.get("periodic", False))
+
+
 def cover_from_json(spec: dict) -> CoverSpec:
     check_fields(spec, "CoverSpec",
                  {"mu_set", "adjacency", "mu_pair", "C_rho", "h_pair", "h_triple"},
@@ -312,7 +326,7 @@ def cover_from_json(spec: dict) -> CoverSpec:
         mu_set=tuple(spec["mu_set"]),
         adjacency=tuple(tuple(row) for row in spec["adjacency"]),
         mu_pair=_dash_keyed(spec, "mu_pair", 2),
-        C_rho=spec["C_rho"],
+        C_rho=_c_rho_from_json(spec["C_rho"]),
         h_pair=_dash_keyed(spec, "h_pair", 2),
         h_triple=_dash_keyed(spec, "h_triple", 3),
     )
