@@ -99,12 +99,19 @@ class BoundaryCondition:
 
 
 def sample_potential(q, u: np.ndarray) -> np.ndarray:
-    """q at the float array u in one call: every potential keeps u's shape."""
+    """q at the float array u in one call: every potential keeps u's shape.
+
+    This is the one place where a potential's samples are checked: a sample
+    that is not finite is malformed input, a ValueError, wherever it falls.
+    """
     values = np.asarray(q(u), dtype=float)
     if values.shape != u.shape:
         raise ValueError(
             f"q must map an array of points to an array of the same shape, "
             f"got shape {values.shape} for {u.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"q is not finite at u = {float(u[~finite][0])!r}")
     return values
 
 
@@ -129,9 +136,7 @@ class SLProblem:
                 f"interval [{self.m0}, {self.m1}] shorter than {MIN_INTERVAL}")
         if not callable(self.q):
             raise TypeError("q must be callable")
-        u = np.linspace(self.m0, self.m1, 65)
-        if not np.all(np.isfinite(sample_potential(self.q, u))):
-            raise ValueError("potential is not bounded on the interval")
+        sample_potential(self.q, np.linspace(self.m0, self.m1, 65))
 
     @property
     def length(self) -> float:
@@ -229,7 +234,7 @@ def _fd_arrays(problem: SLProblem, n: int):
         d[-1] += -2.0 * problem.bc_right.beta / h
         e[-1] = -math.sqrt(2.0) / h**2
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise RuntimeError("non-finite FD assembly")
+        raise ValueError("non-finite FD assembly")
     return d, e
 
 
@@ -270,9 +275,9 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     if grid_n > MAX_FD_GRID_N:
         raise ValueError(f"grid_n={grid_n} exceeds the limit of {MAX_FD_GRID_N}")
     lo, hi = _check_window(window)
-    probe = sample_potential(problem.q, np.linspace(problem.m0, problem.m1, 4 * grid_n + 1))
-    if not np.all(np.isfinite(probe)):
-        raise ValueError("potential is not bounded on the interval")
+    # q on a mesh four times finer than the coarse one, so that a potential
+    # that is not finite between the FD nodes is refused too
+    sample_potential(problem.q, np.linspace(problem.m0, problem.m1, 4 * grid_n + 1))
 
     d1, e1 = _fd_arrays(problem, grid_n)
     # each diagonal entry is a Rayleigh quotient, so at most the largest
@@ -426,8 +431,6 @@ def _phase_engine(problem: SLProblem):
         if n not in meshes:
             h = problem.length / n
             qbar = sample_potential(problem.q, problem.m0 + h * (np.arange(n) + 0.5))
-            if not np.all(np.isfinite(qbar)):
-                raise RuntimeError("integrator step failure: potential not finite")
             meshes[n] = (qbar, h)
         return meshes[n]
 

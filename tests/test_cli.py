@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,37 @@ def test_sl_solve_refuses_a_window_of_too_many_eigenvalues(tmp_path, capsys, met
     assert main(["sl-solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# finite at SLProblem's 65 nodes on [0, 2], but at u = 0.328125, the peak
+# of the sine, a0 plus the sine term passes the largest float.  That point
+# is a midpoint of shooting's first mesh (64 cells) and a node of FD's probe
+_BIG = 1e308
+_PEAK_OVERFLOW = {"type": "fourier", "period": 1.3125, "a0": _BIG,
+                  "sin": [(sys.float_info.max - _BIG) * (1.0 + 1e-9)]}
+
+
+@pytest.mark.parametrize("method, q, bc_left, want", [
+    *[pytest.param(method, _PEAK_OVERFLOW, {"kind": "dirichlet"},
+                   "q is not finite at u = 0.328125", id=f"peak-{method}")
+      for method in ("fd", "shooting", "cross")],
+    # 2 beta / h overflows the first diagonal entry of the FD matrix
+    pytest.param("fd", {"type": "constant", "value": 1.0},
+                 {"kind": "robin", "beta": 1e308}, "non-finite FD assembly",
+                 id="robin-overflow-fd"),
+])
+def test_sl_solve_non_finite_input_exits_2(tmp_path, capsys, method, q, bc_left, want):
+    doc = {"problem": {"m0": 0.0, "m1": 2.0, "q": q, "bc_left": bc_left,
+                       "bc_right": {"kind": "dirichlet"}},
+           "window": [0.0, 10.0], "method": method}
+    cfg = _write_config(tmp_path, doc)
+    # the overflow in q is the input under test, not a fault of the solver
+    with np.errstate(over="ignore"):
+        code = main(["sl-solve", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"input error: {want}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

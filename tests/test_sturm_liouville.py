@@ -624,7 +624,12 @@ def test_fd_assembly_rejects_non_finite_potential():
     # finite on the 65 validation samples, infinite at the node u = 1/6
     p = SLProblem(q=lambda u: np.where(np.abs(u - 1.0 / 6.0) < 1e-12, np.inf, 0.0),
                   m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
-    with pytest.raises(RuntimeError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"q is not finite at u = 0\.1666"):
+        sl._fd_arrays(p, 6)
+    # a finite Robin beta whose 2 beta / h overflows the diagonal
+    p = SLProblem(q=lambda u: 0.0 * u, m0=0.0, m1=1.0,
+                  bc_left=BoundaryCondition.robin(1e308), bc_right=DIR)
+    with pytest.raises(ValueError, match="non-finite FD assembly"):
         sl._fd_arrays(p, 6)
 
 
