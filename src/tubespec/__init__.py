@@ -1,4 +1,4 @@
-"""Numerical toolkit for tube spectra, dissection bounds, and discrete Hodge checks.
+"""Numerical toolkit for tube spectra, dissection bounds, and discrete Hodge complexes.
 
 The package has three legs that share one goal, certified lower bounds on
 small eigenvalues:
@@ -27,18 +27,9 @@ from .discrete_hodge import (
     build_circle_complex,
     build_interval_complex,
     s1_case_study,
-    verify_decomposition,
-    verify_eigenspace_pairing,
-    verify_minimax,
 )
 from .geometry import DegenerationSchedule, TubeGeometry, schedule_instantiate
-from .ode_compare import (
-    ComparisonCase,
-    asymptotic_slope,
-    dirichlet_growth,
-    integrate_pair,
-    verify_riccati,
-)
+from .ode_compare import ComparisonCase, dirichlet_growth, integrate_pair
 from .sturm_liouville import (
     BoundaryCondition,
     SLProblem,
@@ -49,7 +40,7 @@ from .sturm_liouville import (
     solve_shooting,
     spectral_floor,
 )
-from .torus_modes import ModeIndex, min_offzero_kappa, verify_mode_identities
+from .torus_modes import ModeIndex, min_offzero_kappa
 from .tube_spectrum import (
     SweepOptions,
     TubeSpectrum,
@@ -73,7 +64,6 @@ __all__ = [
     "SweepOptions",
     "TubeGeometry",
     "TubeSpectrum",
-    "asymptotic_slope",
     "berger_scaling",
     "build_circle_complex",
     "build_interval_complex",
@@ -93,9 +83,4 @@ __all__ = [
     "spectral_floor",
     "sweep",
     "tube_absolute_spectrum",
-    "verify_decomposition",
-    "verify_eigenspace_pairing",
-    "verify_minimax",
-    "verify_mode_identities",
-    "verify_riccati",
 ]

@@ -5,10 +5,13 @@ space V = V_plus (+) V_minus holds node functions and edge 1-forms, the
 derivative d is the forward difference divided by the step (placed in the
 plus -> minus block), delta is its transpose, T is +1/-1 on the grades,
 Q = d + delta and P = Q^2.  A complex stores that block, D, alone, and
-P = blockdiag(D^T D, D D^T).  Everything the decomposition theory asserts
-(d^2 = 0, Green identity with no boundary term, T anticommutation,
-P = d delta + delta d, harmonic/exact/coexact splitting, eigenspace pairing)
-is checkable here by dense linear algebra against closed-form spectra.
+P = blockdiag(D^T D, D D^T).  The spectra come from the Gram blocks alone:
+the positive exact spectrum is that of D D^T, and d pairs it with the
+coexact one, so dim ker P = dim - 2 rank D.  What the decomposition theory
+asserts on these complexes (d^2 = 0, Green identity with no boundary term,
+T anticommutation, P = d delta + delta d, harmonic/exact/coexact splitting,
+eigenspace pairing, the minimax description) is checked by the tests, by
+dense linear algebra on the graded matrices (tests/checks.py).
 
 Boundary conditions on the interval follow the continuum recipe: Absolute
 keeps all edge coefficients and all nodes (the function Laplacian comes out
@@ -33,23 +36,15 @@ from .dissection import (CoverSpec, c_rho_from_partition, cover_to_json,
 
 __all__ = [
     "DiracComplexMatrix",
-    "EigenspaceSplit",
     "build_circle_complex",
     "build_interval_complex",
-    "structure_report",
-    "verify_decomposition",
-    "verify_eigenspace_pairing",
-    "verify_minimax",
     "exact_positive_spectrum",
-    "group_eigenvalues",
     "s1_case_study",
 ]
 
-# eigenvalue grouping and membership tolerances
+# the zero cutoff of P's eigenvalues
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
-# rank / orthogonality cutoff for dense bases
-RANK_TOL = 1e-10
 # s1_case_study diagonalizes dense n x n Gram blocks: O(n^2) memory, O(n^3) time
 MAX_CASE_STUDY_N = 2048
 CIRCLE_LENGTH = 2.0 * math.pi
@@ -131,68 +126,9 @@ def build_interval_complex(n: int, length: float,
     return DiracComplexMatrix(f"interval(n={n},{condition})", step, D)
 
 
-def structure_report(cx: DiracComplexMatrix) -> dict:
-    """Max residuals of the defining algebraic identities (all should be ~0)."""
-    ident = np.eye(cx.dim)
-    scale = max(1.0, float(np.abs(cx.P).max()))
-    return {
-        "d_squared": float(np.abs(cx.d @ cx.d).max()),
-        "delta_squared": float(np.abs(cx.delta @ cx.delta).max()),
-        "adjointness": float(np.abs(cx.delta - cx.d.T).max()),
-        "T_involution": float(np.abs(cx.T @ cx.T - ident).max()),
-        "anticommutation": float(np.abs(cx.Q @ cx.T + cx.T @ cx.Q).max()),
-        "laplacian_split": float(
-            np.abs(cx.P - (cx.d @ cx.delta + cx.delta @ cx.d)).max()) / scale,
-    }
-
-
-def group_eigenvalues(values) -> list:
-    """Group a sorted eigenvalue array into (value, multiplicity) clusters."""
-    groups = []
-    for v in np.sort(np.asarray(values, dtype=float)):
-        if groups and abs(v - groups[-1][0]) <= REL_TOL * max(abs(v), abs(groups[-1][0])) + ABS_TOL:
-            val, mult = groups[-1]
-            groups[-1] = ((val * mult + v) / (mult + 1), mult + 1)
-        else:
-            groups.append((float(v), 1))
-    return groups
-
-
 def _zero_tol(evals: np.ndarray) -> float:
     """Eigenvalues of P at or below this count as zero; evals sorted ascending."""
     return REL_TOL * max(1.0, float(abs(evals[-1]))) + ABS_TOL
-
-
-def _orth_basis(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span, rank-truncated by RANK_TOL."""
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], 0))
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-    return u[:, :rank]
-
-
-def verify_decomposition(cx: DiracComplexMatrix) -> dict:
-    """Harmonic (+) exact (+) coexact splitting of the full graded space.
-
-    Returns the three dimensions, the worst pairwise orthogonality residual,
-    and whether the dimensions exhaust the space.
-    """
-    evals, evecs = np.linalg.eigh(cx.P)
-    kernel = evecs[:, np.abs(evals) <= _zero_tol(evals)]
-    exact = _orth_basis(cx.d @ evecs)       # range(d)
-    coexact = _orth_basis(cx.delta @ evecs)  # range(delta)
-    dims = (kernel.shape[1], exact.shape[1], coexact.shape[1])
-    residual = 0.0
-    for a, b in ((kernel, exact), (kernel, coexact), (exact, coexact)):
-        if a.shape[1] and b.shape[1]:
-            residual = max(residual, float(np.abs(a.T @ b).max()))
-    return {
-        "dims": dims,
-        "complete": sum(dims) == cx.dim,
-        "max_orthogonality_residual": residual,
-        "structure": structure_report(cx),
-    }
 
 
 def _positive_eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -204,10 +140,6 @@ def _positive_eigenvalues(gram: np.ndarray) -> np.ndarray:
 def exact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
     """Sorted positive eigenvalues of P restricted to range(d): those of D D^T."""
     return _positive_eigenvalues(cx.D @ cx.D.T)
-
-
-def coexact_positive_spectrum(cx: DiracComplexMatrix) -> np.ndarray:
-    return _positive_eigenvalues(cx.D.T @ cx.D)
 
 
 def _hodge_data(cx: DiracComplexMatrix) -> tuple:
@@ -223,91 +155,6 @@ def _hodge_data(cx: DiracComplexMatrix) -> tuple:
 def harmonic_dimension(cx: DiracComplexMatrix) -> int:
     """dim ker P, as dim - 2 rank D with rank D read off the exact spectrum."""
     return _hodge_data(cx)[1]
-
-
-@dataclass(frozen=True)
-class EigenspaceSplit:
-    eigenvalue: float
-    E: np.ndarray
-    E_exact: np.ndarray
-    E_coexact: np.ndarray
-
-
-def verify_eigenspace_pairing(cx: DiracComplexMatrix, lam: float) -> EigenspaceSplit:
-    """Split the lambda-eigenspace of P and check d pairs its halves.
-
-    For lambda > 0 the eigenspace is E_exact (+) E_coexact with d an
-    isomorphism coexact -> exact scaling norms by sqrt(lambda), and delta
-    the reverse; both are verified numerically here.
-    """
-    lam = float(lam)
-    evals, evecs = np.linalg.eigh(cx.P)
-    if lam <= _zero_tol(evals):
-        raise ValueError("pairing is claimed only for positive eigenvalues")
-    mask = np.abs(evals - lam) <= REL_TOL * abs(lam) + ABS_TOL
-    if not mask.any():
-        raise ValueError(f"{lam} is not an eigenvalue of P within tolerance")
-    E = evecs[:, mask]
-    E_exact = _orth_basis(cx.d @ E)
-    E_coexact = _orth_basis(cx.delta @ E)
-    if E_exact.shape[1] != E_coexact.shape[1]:
-        raise AssertionError("exact and coexact multiplicities differ")
-    if E_exact.shape[1] + E_coexact.shape[1] != E.shape[1]:
-        raise AssertionError("eigenspace does not split into exact + coexact")
-    # d restricted to E_coexact, written in the E_exact basis, must be
-    # sqrt(lam) times an orthogonal matrix
-    M = E_exact.T @ cx.d @ E_coexact
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size and not np.allclose(sv, math.sqrt(lam), rtol=1e-8, atol=1e-10):
-        raise AssertionError("d is not a sqrt(lambda)-isometry on the coexact part")
-    Mb = E_coexact.T @ cx.delta @ E_exact
-    svb = np.linalg.svd(Mb, compute_uv=False)
-    if svb.size and not np.allclose(svb, math.sqrt(lam), rtol=1e-8, atol=1e-10):
-        raise AssertionError("delta is not a sqrt(lambda)-isometry on the exact part")
-    return EigenspaceSplit(eigenvalue=lam, E=E, E_exact=E_exact, E_coexact=E_coexact)
-
-
-def verify_minimax(cx: DiracComplexMatrix, i: int) -> dict:
-    """Assertable facets of the variational description of exact eigenvalues.
-
-    (a) the i-th positive exact and coexact eigenvalues agree;
-    (b) over L = span of the first i exact eigenvectors, the sup of
-        ||eta||^2 / ||chi_min(eta)||^2 with chi_min the minimal-norm
-        d-preimage equals the i-th exact eigenvalue.
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    ex = exact_positive_spectrum(cx)
-    co = coexact_positive_spectrum(cx)
-    if i > ex.size:
-        return {"degenerate": True, "available": int(ex.size)}
-    lam_i = float(ex[i - 1])
-    facet_a = abs(lam_i - float(co[i - 1])) <= REL_TOL * lam_i + ABS_TOL
-
-    basis = _orth_basis(cx.d)
-    M = basis.T @ cx.P @ basis
-    evals, evecs = np.linalg.eigh(M)
-    order = np.argsort(evals)
-    L = basis @ evecs[:, order[:i]]          # first i exact eigenvectors
-    pinv_d = np.linalg.pinv(cx.d, rcond=RANK_TOL)
-    chi = pinv_d @ L                          # minimal-norm preimages
-    A = L.T @ L
-    B = chi.T @ chi
-    # the generalized problem A x = q B x, reduced with B = C C^T to the
-    # standard one of inv(C) A inv(C)^T
-    c = np.linalg.inv(np.linalg.cholesky(B))
-    quot = np.linalg.eigvalsh(c @ A @ c.T)
-    sup_quot = float(np.max(quot))
-    facet_b = abs(sup_quot - lam_i) <= 1e-8 * max(1.0, lam_i)
-    return {
-        "i": i,
-        "lambda_exact": lam_i,
-        "lambda_coexact": float(co[i - 1]),
-        "facet_a_equal": bool(facet_a),
-        "sup_quotient": sup_quot,
-        "facet_b_equal": bool(facet_b),
-        "degenerate": False,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 Under inf q > k^2 the solution a dominates the solution v of -v'' + k^2 v = 0
 started from the same initial data, in three assertable senses:
 
-  * Riccati slopes: a'/a >= v'/v pointwise (verify_riccati),
-  * the slope a'/a eventually clears k/2 (asymptotic_slope),
+  * Riccati slopes: a'/a >= v'/v pointwise (PairTrajectories._riccati_check
+    of a Robin-start run),
+  * the slope a'/a eventually clears k/2 (_slope_check of the same run,
+    taken at its right end),
   * Dirichlet data a(m0) = 0, a'(m0) > 0 forces at-least-exponential growth
     a(u) >= a(delta) e^{k(u - delta)/2} past any fixed delta > m0, and in
-    particular a never returns to zero (dirichlet_growth).
+    particular a never returns to zero (dirichlet_growth).  By linearity
+    the start a'(m0) < 0 mirrors it.
 
 All three are checked by direct integration: classical fixed-step RK4 run at
 h and h/2, with the halving disagreement as the acceptance test and the
@@ -24,7 +27,7 @@ Dirichlet growth on [0, 8/k]), and run_suite runs one for the command line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,8 +39,6 @@ __all__ = [
     "ComparisonCase",
     "PairTrajectories",
     "integrate_pair",
-    "verify_riccati",
-    "asymptotic_slope",
     "dirichlet_growth",
     "SUITES",
     "run_suite",
@@ -68,8 +69,7 @@ class ComparisonCase:
     SLProblem.q, and must satisfy inf q > k^2 on [m0, m1] (checked on a
     dense sample); step must not ask for more than MAX_RK4_CELLS cells;
     alpha is the starting slope coefficient a'(m0) = -alpha for the Robin
-    start and must not exceed k.  `relaxed` admits inf q == k^2, which the
-    propositions exclude but the equality test case needs.
+    start and must not exceed k.
     """
 
     q: Callable[[np.ndarray], np.ndarray]
@@ -78,7 +78,6 @@ class ComparisonCase:
     m0: float
     m1: float
     step: float
-    relaxed: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.k) and self.k > 0):
@@ -100,13 +99,8 @@ class ComparisonCase:
                              f"[{self.m0}, {self.m1}], above the limit of "
                              f"{MAX_RK4_CELLS}")
         qs = sample_potential(self.q, np.linspace(self.m0, self.m1, _INF_SAMPLES))
-        if not np.all(np.isfinite(qs)):
-            raise ValueError("q is not finite on the interval")
         floor = float(qs.min()) - self.k**2
-        if self.relaxed:
-            if floor < -1e-12:
-                raise ValueError(f"inf q - k^2 = {floor} < 0 even relaxed")
-        elif floor <= 0:
+        if floor <= 0:
             raise ValueError(f"need inf q > k^2, got inf q - k^2 = {floor}")
 
 
@@ -250,63 +244,37 @@ def integrate_pair(case: ComparisonCase, mode: str) -> PairTrajectories:
                             v_closed_form_deviation=dev)
 
 
-def verify_riccati(case: ComparisonCase) -> dict:
-    """Check a'/a - v'/v >= -tol on the grid away from tiny denominators."""
-    return integrate_pair(case, "RobinStart")._riccati_check()
-
-
-def asymptotic_slope(case: ComparisonCase, m1_large: float) -> dict:
-    """Slope a'/a at m1_large for the Robin start; must clear k/2 - tol.
-
-    m1_large must leave room for the slope to settle (>= m0 + 10/k).  The
-    report carries the closed-form limiting slope k of the comparison
-    equation for reference.  a vanishing at the evaluation point would
-    contradict the slope bound and raises.
-    """
-    if m1_large < case.m0 + 10.0 / case.k:
-        raise ValueError("m1_large must be at least m0 + 10/k")
-    extended = replace(case, m1=m1_large)
-    return integrate_pair(extended, "RobinStart")._slope_check(case.k)
-
-
-def dirichlet_growth(case: ComparisonCase, sign: int = 1,
-                     delta: float | None = None) -> dict:
+def dirichlet_growth(case: ComparisonCase, delta: float | None = None) -> dict:
     """Exponential lower bound past delta for the Dirichlet start.
 
-    With a(m0) = 0 and a'(m0) = sign, checks sign * a(u) >=
-    sign * a(delta) e^{k(u-delta)/2} for u in [delta, m1] (the inequality
-    direction flips with the sign, which is the mirrored second case), that
-    a has no zero in (m0, m1], and that a(m1) != 0.  delta defaults to
-    m0 + 1/k; any delta in (m0, m1) is accepted.
+    With a(m0) = 0 and a'(m0) = 1, checks a(u) >= a(delta) e^{k(u-delta)/2}
+    for u in [delta, m1], that a has no zero in (m0, m1], and that
+    a(m1) > 0.  delta defaults to m0 + 1/k; any delta in (m0, m1) is
+    accepted.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if delta is None:
         delta = case.m0 + 1.0 / case.k
     if not case.m0 < delta < case.m1:
         raise ValueError("delta must lie strictly inside (m0, m1)")
     traj = integrate_pair(case, "DirichletStart")
-    # the solution for a'(m0) = sign is sign * traj.a by linearity, so
-    # b := sign * a = traj.a serves both inequality directions at once
-    b = traj.a
-    no_zero = bool(np.all(b[1:] > 0.0))
+    a = traj.a
+    no_zero = bool(np.all(a[1:] > 0.0))
     i0 = int(np.searchsorted(traj.u, delta))
     if i0 >= traj.u.size:
         i0 = traj.u.size - 1
     delta_used = float(traj.u[i0])
-    ref = b[i0] * np.exp(case.k * (traj.u[i0:] - delta_used) / 2.0)
-    rel = (b[i0:] - ref) / np.maximum(np.abs(b[i0:]), 1e-300)
+    ref = a[i0] * np.exp(case.k * (traj.u[i0:] - delta_used) / 2.0)
+    rel = (a[i0:] - ref) / np.maximum(np.abs(a[i0:]), 1e-300)
     margin = float(np.min(rel))
     return {
-        "sign": sign,
         "delta_requested": float(delta),
         "delta_used": delta_used,
         "min_relative_margin": margin,
         "tolerance": _GROWTH_TOL,
         "no_zero": no_zero,
-        "a_m1": float(sign * b[-1]),
-        "a_m1_nonzero": bool(b[-1] != 0.0),
-        "passed": bool(margin >= -_GROWTH_TOL and no_zero and b[-1] > 0.0),
+        "a_m1": float(a[-1]),
+        "a_m1_nonzero": bool(a[-1] != 0.0),
+        "passed": bool(margin >= -_GROWTH_TOL and no_zero and a[-1] > 0.0),
     }
 
 
@@ -341,7 +309,7 @@ def _draw_case(rng: np.random.Generator, index: int, horizon_over_k: float) -> t
 
 
 def _riccati_and_slope(case: ComparisonCase) -> dict:
-    # the case spans [0, 10/k], so one run also serves asymptotic_slope
+    # the case spans [0, 10/k], so the slope at its right end has settled
     traj = integrate_pair(case, "RobinStart")
     ric, slope = traj._riccati_check(), traj._slope_check(case.k)
     return {"riccati_margin": ric["margin"], "slope": slope["slope"],

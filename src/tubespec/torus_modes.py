@@ -13,6 +13,9 @@ and eigenvalues
 
     kappa_i(u) = (2 pi s + r rho)^2 / (f(u)^2 epsilon^2) + r^2 / h(u)^2.
 
+The package needs only kappa; the tests check the derivative identities
+and the normalization of g_i (tests/checks.py).
+
 With f = cosh(x) and h = sinh(x) at x = R - u, both kappa summands are
 nondecreasing in u on [r0, R0]: x > 0 (R0 < R) falls as u rises, and cosh
 and sinh increase on x > 0, so 1/f^2 and 1/h^2 rise.  The infimum of every
@@ -47,7 +50,6 @@ __all__ = [
     "kappa_value",
     "modes_below",
     "min_offzero_kappa",
-    "verify_mode_identities",
 ]
 
 # modes_below refuses to enumerate more candidates than a 33 x 33 lattice
@@ -178,101 +180,3 @@ def min_offzero_kappa(geometry: TubeGeometry):
     achieved = float(kappa[imin])
     return achieved, {"achieved": achieved,
                       "argmin_mode": (modes[imin].r, modes[imin].s)}
-
-
-def _g_value(mode: ModeIndex, geometry: TubeGeometry, u, t, theta):
-    omega_t = (2.0 * math.pi * mode.s + mode.r * geometry.rho) / geometry.epsilon
-    phase = omega_t * np.asarray(t, dtype=float) - mode.r * np.asarray(theta, dtype=float)
-    norm = np.sqrt(2.0 * math.pi * geometry.epsilon * geometry.f(u) * geometry.h(u))
-    return np.exp(1j * phase) / norm
-
-
-def _deriv1(fun, x, h):
-    d1 = (fun(x + h) - fun(x - h)) / (2.0 * h)
-    d2 = (fun(x + h / 2) - fun(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _deriv2(fun, x, h):
-    c = fun(x)
-    s1 = (fun(x + h) - 2.0 * c + fun(x - h)) / h**2
-    s2 = (fun(x + h / 2) - 2.0 * c + fun(x - h / 2)) / (h / 2) ** 2
-    return (4.0 * s2 - s1) / 3.0
-
-
-def verify_mode_identities(mode: ModeIndex, geometry: TubeGeometry) -> dict:
-    """Check the closed-form derivative identities of g_i numerically.
-
-    At u = r0 + (R0 - r0) * {1/4, 1/2, 3/4} the following are compared
-    against step-extrapolated finite differences of g_i (complex values are
-    a pair of real fields; residuals take both components):
-
-        d_u g     = H(u) g            (only the 1/sqrt(fh) factor varies)
-        d_t g     = i (2 pi s + r rho)/epsilon g
-        d_theta g = -i r g
-        Delta_0 g = kappa g   with  Delta_0 = -f^-2 d_t^2 - h^-2 d_theta^2
-
-    plus the normalization at the middle sample: 2 pi epsilon times the
-    mean of |g_i|^2 f h on a uniform 64 x 64 grid of [0, epsilon) x [0, 2 pi)
-    equals 1.  For a correct g_i that integrand is constant, so the mean is
-    exact; a modulus that varies over either period moves it.
-
-    Returns a report dict; residuals above 1e-6 ("tolerance") or a
-    normalization error above 1e-8 mark it failed rather than raising.
-    """
-    r0 = geometry.require_r0()
-    R0 = geometry.R0
-    tol = 1e-6
-    u_samples = [r0 + frac * (R0 - r0) for frac in (0.25, 0.5, 0.75)]
-    h_step = min(1e-3, 3e-3 * (R0 - r0))
-
-    eps, rho = geometry.epsilon, geometry.rho
-    omega_t = (2.0 * math.pi * mode.s + mode.r * rho) / eps
-    t0, th0 = 0.3 * eps, 1.1
-    res = {"du": 0.0, "dt": 0.0, "dtheta": 0.0, "laplacian": 0.0}
-    for u in u_samples:
-        g = complex(_g_value(mode, geometry, u, t0, th0))
-        ga = abs(g)
-        f_u = float(geometry.f(u))
-        h_u = float(geometry.h(u))
-        kap = float(kappa_value(mode.r, mode.s, u, geometry))
-
-        num = _deriv1(lambda x: _g_value(mode, geometry, x, t0, th0), u, h_step)
-        exact = float(geometry.H(u)) * g
-        res["du"] = max(res["du"], abs(num - exact) / ((abs(float(geometry.H(u))) + 1.0) * ga))
-
-        ht = 1e-3 / (abs(omega_t) + 1.0 / eps)
-        num = _deriv1(lambda x: _g_value(mode, geometry, u, x, th0), t0, ht)
-        res["dt"] = max(res["dt"],
-                        abs(num - 1j * omega_t * g) / ((abs(omega_t) + 1.0 / eps) * ga))
-
-        hth = 1e-3 / (abs(mode.r) + 1.0)
-        num = _deriv1(lambda x: _g_value(mode, geometry, u, t0, x), th0, hth)
-        res["dtheta"] = max(res["dtheta"],
-                            abs(num + 1j * mode.r * g) / ((abs(mode.r) + 1.0) * ga))
-
-        dtt = _deriv2(lambda x: _g_value(mode, geometry, u, x, th0), t0, ht)
-        dthth = _deriv2(lambda x: _g_value(mode, geometry, u, t0, x), th0, hth)
-        lap = -dtt / f_u**2 - dthth / h_u**2
-        scale = (kap + (abs(omega_t) + 1.0 / eps) ** 2 / f_u**2
-                 + (abs(mode.r) + 1.0) ** 2 / h_u**2) * ga
-        res["laplacian"] = max(res["laplacian"], abs(lap - kap * g) / scale)
-
-    # normalization at the middle sample
-    u_mid = u_samples[len(u_samples) // 2]
-    f_u = float(geometry.f(u_mid))
-    h_u = float(geometry.h(u_mid))
-
-    grid = np.arange(64) / 64
-    g = _g_value(mode, geometry, u_mid, eps * grid[:, None], 2.0 * math.pi * grid)
-    norm_rel = abs(float(np.mean(np.abs(g) ** 2)) * f_u * h_u * 2.0 * math.pi * eps - 1.0)
-
-    max_res = max(res.values())
-    return {
-        "mode": (mode.r, mode.s),
-        "residuals": res,
-        "max_residual": max_res,
-        "normalization_rel_error": norm_rel,
-        "tolerance": tol,
-        "passed": bool(max_res <= tol and norm_rel <= 1e-8),
-    }

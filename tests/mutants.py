@@ -26,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SL = "src/tubespec/sturm_liouville.py"
+TM = "src/tubespec/torus_modes.py"
+TS = "src/tubespec/tube_spectrum.py"
 
 # (name, file, old text, new text, why the mutant is equivalent or None)
 MUTANTS = [
@@ -43,6 +45,29 @@ MUTANTS = [
      "if gap > ef + es + 1e-9 * max(1.0, abs(ls)):",
      "if gap > 10.0 * (ef + es) + 1e-9 * max(1.0, abs(ls)):", None),
     ("cross_check_error_es", SL, "er.append(max(es, gap))", "er.append(es)", None),
+    # the truncation certificate: the three floor terms of modes_below, each
+    # raised past what it may claim, and its check against the cutoff
+    ("modes_below_no_rejected_term", TM,
+     "min(float(kappa[~below].min(initial=math.inf)),", "min(math.inf,", None),
+    ("modes_below_w_gap_next_row", TM,
+     "(w_gap / ef0) ** 2,", "((w_gap + 2.0 * math.pi) / ef0) ** 2,", None),
+    ("modes_below_rows_past_r_max_plus_2", TM,
+     "((r_max + 1) / h0) ** 2)", "((r_max + 2) / h0) ** 2)", None),
+    ("modes_below_no_cutoff_check", TM, "if not floor > cutoff:", "if False:",
+     "each term clears the cutoff by construction (rejected candidates by the "
+     "filter, r_max + 1 > h0 sqrt(cutoff), the first r past a row's band by rho or "
+     "2 pi in |w|), so the check guards rounding alone"),
+    ("skip_rule_within_1", TS, "if floor > lam_max:", "if floor > lam_max - 1.0:", None),
+    ("attractive_left_sign", SL, "b = max(0.0, -problem.bc_left.beta)",
+     "b = max(0.0, problem.bc_left.beta)", None),
+    ("attractive_right_sign", SL, "b = max(0.0, problem.bc_right.beta)",
+     "b = max(0.0, -problem.bc_right.beta)", None),
+    ("floor_slack_1e-2", TS, "ev >= floor - 1e-6", "ev >= floor - 1e-2", None),
+    # solve_fd's two refusals, and the Richardson step that FD and shooting share
+    ("fd_no_window_top_refusal", SL, "if hi >= d1.max():", "if False:", None),
+    ("fd_no_index_refusal", SL, "if k1 >= d1.size:", "if False:", None),
+    ("richardson_over_30", SL, "np.asarray(coarse, dtype=float)) / 3.0",
+     "np.asarray(coarse, dtype=float)) / 30.0", None),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -13,6 +13,13 @@ import time
 import numpy as np
 import pytest
 
+from checks import (
+    group_eigenvalues,
+    structure_report,
+    verify_decomposition,
+    verify_eigenspace_pairing,
+    verify_mode_identities,
+)
 from tubespec.dissection import (
     CoverSpec,
     berger_scaling,
@@ -25,11 +32,8 @@ from tubespec.discrete_hodge import (
     build_circle_complex,
     build_interval_complex,
     exact_positive_spectrum,
-    group_eigenvalues,
     harmonic_dimension,
     s1_case_study,
-    structure_report,
-    verify_eigenspace_pairing,
 )
 from tubespec.geometry import DegenerationSchedule, schedule_instantiate
 from tubespec.ode_compare import run_suite
@@ -40,7 +44,7 @@ from tubespec.sturm_liouville import (
     solve_shooting,
     spectral_floor,
 )
-from tubespec.torus_modes import ModeIndex, verify_mode_identities
+from tubespec.torus_modes import ModeIndex
 from tubespec.tube_spectrum import (
     SweepOptions,
     find_r0,
@@ -302,9 +306,7 @@ def test_criterion_8_structure_suite():
         worst = max(worst, max(rep.values()))
         assert max(rep.values()) <= 1e-12, (cx.name, rep)
 
-        evals = np.linalg.eigvalsh(cx.P)
-        scale = max(1.0, float(abs(evals[-1])))
-        zero_mult = int(np.sum(np.abs(evals) <= 1e-9 * scale + 1e-12))
+        zero_mult = verify_decomposition(cx)["dims"][0]
         assert zero_mult == harmonic_dimension(cx)
 
     checked = 0

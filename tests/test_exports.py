@@ -1,9 +1,12 @@
-"""Package-wide checks: every __all__ name exists, no assert statement in the
+"""Package-wide checks: every __all__ name exists, every public function is
+reached by a subcommand or is a named hook, no assert statement in the
 source, and every function the benchmark's tracer wraps is still there."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
+import json
 import pkgutil
 import sys
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 
 import tubespec
 from tubespec import torus_modes, tube_spectrum
+from tubespec.cli import main
 
 MODULES = ["tubespec"] + [f"tubespec.{m.name}"
                           for m in pkgutil.iter_modules(tubespec.__path__)]
@@ -23,6 +27,68 @@ def test_all_names_exist(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), "duplicate __all__ entry"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# the public functions that no subcommand reaches yet, each with the ROADMAP
+# item that will call it
+HOOKS = {
+    "tubespec.sturm_liouville.count_below": "items 2, 4 and 9",
+    "tubespec.sturm_liouville.spectral_floor": "item 11",
+    "tubespec.geometry.DegenerationSchedule.check_member": "item 15",
+}
+
+
+def _public_functions() -> dict:
+    """Qualified name -> code of every function in a module's __all__ and of
+    every public method of a class there, each under its home module."""
+    found = {}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", []):
+            obj = getattr(module, attr)
+            if getattr(obj, "__module__", None) != name:
+                continue  # a re-export, checked in its home module
+            if inspect.isfunction(obj):
+                found[f"{name}.{attr}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for meth, value in vars(obj).items():
+                    # classmethods and staticmethods hold their function
+                    value = getattr(value, "__func__", value)
+                    if not meth.startswith("_") and inspect.isfunction(value):
+                        found[f"{name}.{attr}.{meth}"] = value.__code__
+    return found
+
+
+def test_every_public_function_is_reached_by_a_subcommand_or_is_a_hook(tmp_path):
+    # every golden run (sl-solve by fd, by shooting and by cross among them),
+    # and bound with each of its flags, under a profiler that records the
+    # code of every Python call
+    from test_golden import CASES
+    runs = []
+    for i, (_, sub, config, exit_code) in enumerate(CASES):
+        argv = [sub, "--out", str(tmp_path / f"out{i}")]
+        if config is not None:
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(path)]
+        runs.append((argv, exit_code))
+        if sub == "bound":
+            runs += [(argv + [flag], exit_code)
+                     for flag in ("--dirac", "--laplacian", "--ordered")]
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv, _ in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [exit_code for _, exit_code in runs]
+    unreached = {name for name, code in _public_functions().items() if code not in reached}
+    assert unreached == set(HOOKS)
 
 
 def test_no_assert_statements_in_src():

@@ -1,6 +1,7 @@
 """Comparison-ODE checks: fixtures with closed forms, seeded suites."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,29 +10,20 @@ from tubespec.ode_compare import (
     MAX_RK4_CELLS,
     MODES,
     ComparisonCase,
-    asymptotic_slope,
     dirichlet_growth,
     integrate_pair,
     run_suite,
-    verify_riccati,
 )
 
 
-def _const_case(qval, k, alpha=0.0, m0=0.0, m1=8.0, n=1024, **kw):
+def _const_case(qval, k, alpha=0.0, m0=0.0, m1=8.0, n=1024):
     return ComparisonCase(q=lambda u: np.full_like(u, qval), k=k, alpha=alpha,
-                          m0=m0, m1=m1, step=(m1 - m0) / n, **kw)
+                          m0=m0, m1=m1, step=(m1 - m0) / n)
 
 
-def test_equality_case_needs_relaxed_flag():
-    with pytest.raises(ValueError, match="inf q > k"):
-        _const_case(4.0, 2.0)
-    case = _const_case(4.0, 2.0, relaxed=True)
-    traj_a = integrate_pair(case, "RobinStart")
-    # q == k^2 makes a and v the same equation from the same data
-    assert np.array_equal(traj_a.a, traj_a.v)
-    rep = verify_riccati(case)
-    assert rep["passed"]
-    assert rep["margin"] == pytest.approx(0.0, abs=1e-12)
+def _slope(case, m1):
+    """The Robin-start slope check at m1, on the case stretched to [m0, m1]."""
+    return integrate_pair(replace(case, m1=m1), "RobinStart")._slope_check(case.k)
 
 
 def test_dirichlet_start_dominates_comparison_solution():
@@ -47,7 +39,7 @@ def test_dirichlet_start_dominates_comparison_solution():
 def test_asymptotic_slope_constant_potential():
     # q = k^2 + 1 with k = 2: the true slope settles at sqrt(5)
     case = _const_case(5.0, 2.0, alpha=0.5)
-    rep = asymptotic_slope(case, 8.0)
+    rep = _slope(case, 8.0)
     assert rep["passed"]
     assert rep["slope"] == pytest.approx(math.sqrt(5.0), rel=1e-9)
     assert rep["v_slope_limit"] == 2.0
@@ -57,15 +49,9 @@ def test_asymptotic_slope_constant_potential():
 def test_asymptotic_slope_alpha_at_edge():
     # alpha = k is the extreme admissible start; slope still finds sqrt(2)
     case = _const_case(2.0, 1.0, alpha=1.0, m1=12.0, n=2048)
-    rep = asymptotic_slope(case, 12.0)
+    rep = _slope(case, 12.0)
     assert rep["passed"]
     assert rep["slope"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
-
-
-def test_asymptotic_slope_needs_room():
-    case = _const_case(5.0, 2.0)
-    with pytest.raises(ValueError, match="10/k"):
-        asymptotic_slope(case, case.m0 + 1.0)
 
 
 def test_dirichlet_growth_constant_potential():
@@ -75,15 +61,6 @@ def test_dirichlet_growth_constant_potential():
     assert rep["min_relative_margin"] >= -1e-8
     assert rep["a_m1"] == pytest.approx(
         math.sinh(math.sqrt(6.0) * case.m1) / math.sqrt(6.0), rel=1e-7)
-
-
-def test_dirichlet_growth_mirrored_start():
-    case = _const_case(6.0, 2.0)
-    plus = dirichlet_growth(case, sign=1)
-    minus = dirichlet_growth(case, sign=-1)
-    assert minus["passed"]
-    assert minus["a_m1"] == -plus["a_m1"]
-    assert minus["min_relative_margin"] == plus["min_relative_margin"]
 
 
 def test_dirichlet_growth_delta_sweep():
@@ -96,8 +73,6 @@ def test_dirichlet_growth_delta_sweep():
         dirichlet_growth(case, delta=0.0)
     with pytest.raises(ValueError, match="delta"):
         dirichlet_growth(case, delta=case.m1)
-    with pytest.raises(ValueError, match="sign"):
-        dirichlet_growth(case, sign=2)
 
 
 def test_step_instability_is_reported():
@@ -127,8 +102,9 @@ def test_case_validation():
         _const_case(5.0, 2.0, m1=math.inf)
     with pytest.raises(ValueError, match="not finite"):
         _const_case(math.inf, 2.0)
-    with pytest.raises(ValueError, match="even relaxed"):
-        _const_case(3.0, 2.0, relaxed=True)
+    # inf q = k^2 lies outside the propositions
+    with pytest.raises(ValueError, match="inf q > k"):
+        _const_case(4.0, 2.0)
     with pytest.raises(ValueError, match="mode"):
         integrate_pair(_const_case(5.0, 2.0), "NeumannStart")
     assert MODES == ("RobinStart", "DirichletStart")
@@ -198,7 +174,7 @@ def test_tube_mode_potential_feeds_comparison():
     case = ComparisonCase(q=problem.q, k=2.0, alpha=0.0,
                           m0=problem.m0, m1=problem.m0 + 1.0,
                           step=1.0 / 1024.0)
-    assert verify_riccati(case)["passed"]
+    assert integrate_pair(case, "RobinStart")._riccati_check()["passed"]
     assert dirichlet_growth(case, delta=problem.m0 + 0.25)["passed"]
 
 
@@ -297,7 +273,7 @@ def test_integrate_pair_matches_callback_rk4_bit_for_bit(mode):
     cases = [_wavy_case(rng, m0, cells, ragged)
              for m0 in (0.0, -0.0, 1.7, -2.3)
              for cells, ragged in ((400, False), (999, True), (3000, False))]
-    cases.append(_const_case(4.0, 2.0, m0=-0.0, relaxed=True))
+    cases.append(_const_case(4.5, 2.0, m0=-0.0))
     # a q that reads the sign of zero sees node 0 = m0 = -0.0 on both sides
     cases.append(ComparisonCase(q=lambda u: 5.0 + 1e-9 * np.signbit(u), k=2.0,
                                 alpha=0.0, m0=-0.0, m1=8.0, step=8.0 / 1024))
@@ -348,10 +324,10 @@ def test_rk4_mesh_is_bounded():
         ComparisonCase(q=q, k=2.0, alpha=0.0, m0=0.0, m1=1.0, step=1e-12)
     with pytest.raises(ValueError, match="inf RK4 cells"):
         ComparisonCase(q=q, k=2.0, alpha=0.0, m0=0.0, m1=1.0, step=5e-324)
-    # asymptotic_slope's longer interval is bounded the same way
+    # a case stretched to a longer interval is bounded the same way
     case = _const_case(5.0, 2.0, m1=1.0, n=MAX_RK4_CELLS)
     with pytest.raises(ValueError, match="above the limit"):
-        asymptotic_slope(case, 6.0)
+        replace(case, m1=6.0)
 
 
 @pytest.mark.parametrize("suite,count,horizon", [("A.1", 20, 10.0),
@@ -361,8 +337,6 @@ def test_suite_potential_sampled_as_arrays_equals_pointwise(suite, count,
                                                            horizon, seed):
     # The reports' bytes rest on numpy's sin agreeing with math.sin on every
     # point that integrate_pair samples; a build where they differ fails here
-    from dataclasses import replace
-
     from tubespec.ode_compare import _draw_case
 
     rng = np.random.default_rng(seed)

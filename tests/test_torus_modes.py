@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import checks
 import tubespec
+from checks import verify_mode_identities
 from tubespec.geometry import DegenerationSchedule, TubeGeometry, schedule_instantiate
 from tubespec.torus_modes import (
     MAX_MODE_CANDIDATES,
@@ -22,7 +24,6 @@ from tubespec.torus_modes import (
     kappa_value,
     min_offzero_kappa,
     modes_below,
-    verify_mode_identities,
 )
 
 
@@ -79,6 +80,15 @@ def _brute_force_cases():
             bound = float(kappa_value([0, 1], [1, 0], geom.r0, geom).min())
             for cutoff in (0.0, 0.5 * bound, bound, 2.0, 12.0):
                 cases.append((geom, cutoff))
+    # short tubes where one floor term is the least of the three and close to
+    # the true minimum: the rows past the r range, ((r_max + 1) / h0)^2, at
+    # (D, E) = (10, 10), and the modes outside each row's r band,
+    # (w_gap / (epsilon f0))^2, at (100, 1)
+    for (D, E), pairs in (((10.0, 10.0), ((0.0, 1.0), (0.5, math.e))),
+                          ((100.0, 1.0), ((0.5, 2.0), (0.9, math.e)))):
+        sched = DegenerationSchedule(D1=D, D2=D, E1=E, E2=E, R_grid=(2.0,))
+        cases += [(schedule_instantiate(sched, 0).with_r0(r0), cutoff)
+                  for r0, cutoff in pairs]
     # rho = 0: one s row, and a wide leaf whose ellipse spans several rows
     for geom, cutoffs in (
             (TubeGeometry(R=6.0, epsilon=math.exp(-12.0), rho=0.0, r0=0.2, R0=5.0),
@@ -261,11 +271,10 @@ def test_verify_identities_mixed_mode():
 
 
 def test_verify_identities_catches_a_misnormalized_mode(monkeypatch):
-    import tubespec.torus_modes as tm
-    real = tm._g_value
+    real = checks._g_value
     # a constant factor leaves every derivative identity intact; only the
     # normalization quadrature can see it
-    monkeypatch.setattr(tm, "_g_value", lambda *args: 1.37 * real(*args))
+    monkeypatch.setattr(checks, "_g_value", lambda *args: 1.37 * real(*args))
     rep = verify_mode_identities(ModeIndex(1, 1), _tube(6.0))
     assert rep["max_residual"] <= 1e-6
     assert rep["normalization_rel_error"] == pytest.approx(1.37**2 - 1.0)
@@ -273,8 +282,7 @@ def test_verify_identities_catches_a_misnormalized_mode(monkeypatch):
 
 
 def test_verify_identities_sees_a_modulus_that_varies_in_t(monkeypatch):
-    import tubespec.torus_modes as tm
-    real = tm._g_value
+    real = checks._g_value
     geom = _tube(6.0)
 
     # |g|^2 gains (1 + 0.5 cos)^2, whose mean over a period is 1 + 1/8
@@ -282,7 +290,7 @@ def test_verify_identities_sees_a_modulus_that_varies_in_t(monkeypatch):
         return real(mode, geometry, u, t, theta) * (
             1.0 + 0.5 * np.cos(2.0 * math.pi * np.asarray(t) / geometry.epsilon))
 
-    monkeypatch.setattr(tm, "_g_value", wobbly)
+    monkeypatch.setattr(checks, "_g_value", wobbly)
     rep = verify_mode_identities(ModeIndex(1, 1), geom)
     assert rep["normalization_rel_error"] == pytest.approx(0.125, rel=1e-12)
     assert not rep["passed"]

@@ -10,7 +10,7 @@ from tubespec.cli import main
 from tubespec.geometry import DegenerationSchedule, schedule_instantiate
 from tubespec.sturm_liouville import (
     SpectrumResult, sample_potential, solve_cross_validated, spectral_floor)
-from tubespec.torus_modes import ModeIndex, kappa_value
+from tubespec.torus_modes import ModeIndex, kappa_value, modes_below
 from tubespec.tube_spectrum import (
     FloorViolation,
     SweepOptions,
@@ -144,6 +144,23 @@ def test_zero_mode_included_only_on_request(tube6):
     default = tube_absolute_spectrum(tube6, SweepOptions(lambda_max=2.0))
     assert default.entries == ()
     assert default.min_positive_offzero is None
+
+
+@pytest.mark.parametrize("lam_max", [0.5, 10.0])
+def test_spectrum_holds_every_enumerated_pair(tube6, lam_max):
+    # the skip rule drops a pair only when its floor lies above the window.
+    # At lambda_max 0.5 the zero mode's Dirichlet eigenvalue (pi / L)^2 = 0.43
+    # lies within 1 above its floor 0, so a rule that skipped floors within 1
+    # of the window top would lose it
+    options = SweepOptions(lambda_max=lam_max, include_zero_mode=True)
+    spec = tube_absolute_spectrum(tube6, options)
+    modes, _, _ = modes_below(tube6, spec.truncation_certificate["skip_cutoff"])
+    want = sorted(ev for mode in modes for fam in ("Abs1", "Abs2")
+                  for ev in solve_cross_validated(
+                      assemble_mode_problem(mode, tube6, fam), (0.0, lam_max),
+                      grid_n=2048, phase_tol=1e-7).eigenvalues)
+    assert want
+    assert sorted(e.eigenvalue for e in spec.entries) == want
 
 
 def test_reference_tube_first_offzero_eigenvalue(spectrum6):
