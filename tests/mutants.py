@@ -9,9 +9,9 @@ For each mutant the tree is copied to a temporary directory, one text
 replacement is made in one file under src/, and tier-1 runs there with -x.
 A mutant is killed when that run fails.  The checkout itself is never
 changed, and no mutant edits a test.  A mutant whose text no longer occurs
-exactly once is reported as stale, not run.  A run takes 10-45 s, so the
-whole list takes a few minutes; the exit code is 1 when any mutant survives
-without an argument for its equivalence, or is stale.
+exactly once is reported as stale, not run.  A run takes 2-45 s, and the
+whole list about 7 minutes on a 2-core machine; the exit code is 1 when
+any mutant survives without an argument for its equivalence, or is stale.
 """
 
 from __future__ import annotations
