@@ -32,7 +32,8 @@ from .jsonio import check_fields, check_float, check_int, write_csv, write_json
 from .ode_compare import SUITES, run_suite
 from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
     solve_fd, solve_shooting
-# unused here, but perfbench's tracer looks it up as cli.solve_cross_validated
+# unused here, but perfbench/tests/test_perfbench.py's REBINDING_SITES expects
+# cli.solve_cross_validated
 from .sturm_liouville import solve_cross_validated  # noqa: F401
 from .tube_spectrum import SweepOptions, sweep, sweep_csv_rows
 

@@ -103,8 +103,11 @@ def sample_potential(q, u: np.ndarray) -> np.ndarray:
 
     This is the one place where a potential's samples are checked: a sample
     that is not finite is malformed input, a ValueError, wherever it falls.
+    q runs with numpy's overflow, invalid and divide warnings off, so that
+    the check below decides, whatever the warning filters say.
     """
-    values = np.asarray(q(u), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = np.asarray(q(u), dtype=float)
     if values.shape != u.shape:
         raise ValueError(
             f"q must map an array of points to an array of the same shape, "

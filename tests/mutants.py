@@ -1,4 +1,4 @@
-"""Mutation check of the count and certificate path: tier-1 must fail on each mutant.
+"""Mutation check of the count, certificate and comparison-ODE paths: tier-1 must fail on each mutant.
 
 Run by hand from the repository root; pytest does not collect this file:
 
@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SL = "src/tubespec/sturm_liouville.py"
 TM = "src/tubespec/torus_modes.py"
 TS = "src/tubespec/tube_spectrum.py"
+OC = "src/tubespec/ode_compare.py"
 
 # (name, file, old text, new text, why the mutant is equivalent or None)
 MUTANTS = [
@@ -68,6 +69,13 @@ MUTANTS = [
     ("fd_no_index_refusal", SL, "if k1 >= d1.size:", "if False:", None),
     ("richardson_over_30", SL, "np.asarray(coarse, dtype=float)) / 3.0",
      "np.asarray(coarse, dtype=float)) / 30.0", None),
+    # compare-ode takes v from its closed form and checks a by step halving
+    # alone, so the tests must catch a wrong closed form or a loose gate
+    ("closed_form_v_sinh_sign", OC,
+     "v = c1 * np.cosh(k * t) + c2 * np.sinh(k * t)",
+     "v = c1 * np.cosh(k * t) - c2 * np.sinh(k * t)", None),
+    ("closed_form_v_c2_unscaled", OC, "c1, c2 = v0, vp0 / k", "c1, c2 = v0, vp0", None),
+    ("halving_gate_1e-2", OC, "err_a > 1e-7 * scale_a", "err_a > 1e-2 * scale_a", None),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
