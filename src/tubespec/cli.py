@@ -30,11 +30,8 @@ from .discrete_hodge import s1_case_study
 from .geometry import DegenerationSchedule, schedule_from_json, schedule_to_json
 from .jsonio import check_fields, check_float, check_int, write_csv, write_json
 from .ode_compare import SUITES, run_suite
-from .sturm_liouville import cross_check, problem_from_json, problem_to_json, \
-    solve_fd, solve_shooting
-# unused here, but perfbench/tests/test_perfbench.py's REBINDING_SITES expects
-# cli.solve_cross_validated
-from .sturm_liouville import solve_cross_validated  # noqa: F401
+from .sturm_liouville import problem_from_json, problem_to_json, \
+    solve_cross_validated, solve_fd, solve_shooting
 from .tube_spectrum import SweepOptions, sweep, sweep_csv_rows
 
 EXIT_OK = 0
@@ -71,28 +68,23 @@ def cmd_sl_solve(args, config: dict):
     method = config.get("method", "cross")
     grid_n = check_int(config.get("grid_n", 256), "grid_n")
 
-    results = {}
     if method == "fd":
         primary = solve_fd(problem, grid_n, window)
-        results["fd"] = primary.to_json()
+        results = {"fd": primary}
     elif method == "shooting":
         primary = solve_shooting(problem, window)
-        results["shooting"] = primary.to_json()
+        results = {"shooting": primary}
     elif method == "cross":
-        # the same three steps as solve_cross_validated, each run once
-        fd = solve_fd(problem, grid_n, window)
-        sh = solve_shooting(problem, window, fd_seeds=fd)
-        primary = cross_check(fd, sh, window)
-        results["fd"] = fd.to_json()
-        results["shooting"] = sh.to_json()
-        results["cross_validated"] = primary.to_json()
+        primary = solve_cross_validated(problem, window, grid_n)
+        fd, sh = primary.checked
+        results = {"fd": fd, "shooting": sh, "cross_validated": primary}
     else:
         raise ValueError(f"method must be fd, shooting, or cross, got {method!r}")
     doc = {
         "problem": problem_to_json(problem),
         "window": list(window),
         "method": method,
-        "results": results,
+        "results": {name: res.to_json() for name, res in results.items()},
     }
     rows = [(i, ev, er) for i, (ev, er) in
             enumerate(zip(primary.eigenvalues, primary.error_estimate))]

@@ -229,7 +229,7 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
     bound = laplacian_bound(cover)
     true_exact = exact_positive_spectrum(circle)
     if bound.N > true_exact.size:
-        raise AssertionError("N exceeds the number of positive exact eigenvalues")
+        raise RuntimeError("N exceeds the number of positive exact eigenvalues")
     mu_N_true = float(true_exact[bound.N - 1])
 
     return {

@@ -152,6 +152,8 @@ class SpectrumResult:
     error_estimate: tuple
     method: str
     grid_n: int
+    # cross_check's (fd, shooting) pair; neither == nor to_json reads it
+    checked: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         ev = tuple(float(x) for x in self.eigenvalues)
@@ -212,8 +214,9 @@ def _spectrum(ev, err, method: str, grid_n: int) -> SpectrumResult:
 # finite differences
 
 
-def _fd_arrays(problem: SLProblem, n: int):
-    """Symmetric tridiagonal (diag, offdiag) for mesh with n subintervals.
+def _fd_arrays(problem: SLProblem, qv: np.ndarray, n: int):
+    """Symmetric tridiagonal (diag, offdiag) for mesh with n subintervals,
+    given q at its n + 1 nodes.
 
     Robin ends keep their boundary node; the ghost-point row is halved, which
     makes the problem generalized with mass 1/2 at that node, then rescaled
@@ -221,8 +224,6 @@ def _fd_arrays(problem: SLProblem, n: int):
     shows up as sqrt(2) on the off-diagonal entry next to a Robin node.
     """
     h = problem.length / n
-    u = problem.m0 + h * np.arange(n + 1)
-    qv = sample_potential(problem.q, u)
     i0 = 0 if problem.bc_left.is_robin else 1
     i1 = n if problem.bc_right.is_robin else n - 1
     m = i1 - i0 + 1
@@ -278,17 +279,19 @@ def solve_fd(problem: SLProblem, grid_n: int, window) -> SpectrumResult:
     if grid_n > MAX_FD_GRID_N:
         raise ValueError(f"grid_n={grid_n} exceeds the limit of {MAX_FD_GRID_N}")
     lo, hi = _check_window(window)
-    # q on a mesh four times finer than the coarse one, so that a potential
-    # that is not finite between the FD nodes is refused too
-    sample_potential(problem.q, np.linspace(problem.m0, problem.m1, 4 * grid_n + 1))
+    # q once, on a mesh four times finer than the coarse one, so that a
+    # potential that is not finite between the FD nodes is refused too; every
+    # 4th and 2nd point are the nodes of meshes n and 2n: (L/4n) 4j = (L/n) j
+    h4 = problem.length / (4 * grid_n)
+    q4 = sample_potential(problem.q, problem.m0 + h4 * np.arange(4 * grid_n + 1))
 
-    d1, e1 = _fd_arrays(problem, grid_n)
+    d1, e1 = _fd_arrays(problem, q4[::4], grid_n)
     # each diagonal entry is a Rayleigh quotient, so at most the largest
     # eigenvalue of the coarse mesh
     if hi >= d1.max():
         raise ValueError(f"window top {hi!r} is at or above the coarse matrix's "
                          f"largest diagonal entry {float(d1.max())!r}; increase grid_n")
-    d2, e2 = _fd_arrays(problem, 2 * grid_n)
+    d2, e2 = _fd_arrays(problem, q4[::2], 2 * grid_n)
     lam2 = eigvalsh_tridiagonal(d2, e2, select="v", select_range=(lo, hi))
     if lam2.size == 0:
         return SpectrumResult((), (), "FD", 2 * grid_n)
@@ -768,7 +771,7 @@ def cross_check(fd: SpectrumResult, sh: SpectrumResult, window) -> SpectrumResul
 
     Reported eigenvalues come from the shooting method (exact per cell, so
     typically the tighter of the two); the error estimate also absorbs the
-    observed cross-method discrepancy.
+    observed cross-method discrepancy.  The result keeps (fd, sh) as checked.
     """
     if len(fd.eigenvalues) != len(sh.eigenvalues):
         raise RuntimeError(
@@ -784,14 +787,16 @@ def cross_check(fd: SpectrumResult, sh: SpectrumResult, window) -> SpectrumResul
                 f"exceeds combined error {ef + es:.3e}")
         ev.append(ls)
         er.append(max(es, gap))
-    return SpectrumResult(tuple(ev), tuple(er), "CrossValidated", fd.grid_n)
+    return SpectrumResult(tuple(ev), tuple(er), "CrossValidated", fd.grid_n,
+                          checked=(fd, sh))
 
 
 def solve_cross_validated(problem: SLProblem, window, grid_n: int = 256,
                           phase_tol: float = _PHASE_TOL) -> SpectrumResult:
     """Run both methods and accept only if they agree within error bars.
 
-    FD runs first and seeds the shooting root brackets; see cross_check.
+    The package's one cross-validation recipe: FD runs first and seeds the
+    shooting root brackets, then cross_check compares the two results.
     """
     phase_tol = _check_phase_tol(phase_tol)
     fd = solve_fd(problem, grid_n, window)

@@ -46,6 +46,10 @@ MUTANTS = [
      "if gap > ef + es + 1e-9 * max(1.0, abs(ls)):",
      "if gap > 10.0 * (ef + es) + 1e-9 * max(1.0, abs(ls)):", None),
     ("cross_check_error_es", SL, "er.append(max(es, gap))", "er.append(es)", None),
+    # the one cross-validation recipe: what it keeps, and how it seeds shooting
+    ("cross_check_checked_swapped", SL, "checked=(fd, sh))", "checked=(sh, fd))", None),
+    ("cross_validated_unseeded", SL, "phase_tol=phase_tol, fd_seeds=fd)",
+     "phase_tol=phase_tol, fd_seeds=None)", None),
     # the truncation certificate: the three floor terms of modes_below, each
     # raised past what it may claim, and its check against the cutoff
     ("modes_below_no_rejected_term", TM,

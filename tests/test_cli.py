@@ -104,8 +104,9 @@ def test_sl_solve_cross_solves_each_method_once(tmp_path, monkeypatch):
 
 
 def test_sl_solve_exits_1_when_the_methods_disagree(tmp_path, monkeypatch, capsys):
+    import tubespec.sturm_liouville as sl
     from tubespec.sturm_liouville import SpectrumResult
-    real = cli.solve_shooting
+    real = sl.solve_shooting
 
     def shifted(problem, window, **kwargs):
         # 1e-3 above every eigenvalue, far outside FD's bar of 3e-6 at 1
@@ -113,7 +114,8 @@ def test_sl_solve_exits_1_when_the_methods_disagree(tmp_path, monkeypatch, capsy
         return SpectrumResult(tuple(x + 1e-3 for x in res.eigenvalues),
                               res.error_estimate, res.method, res.grid_n)
 
-    monkeypatch.setattr(cli, "solve_shooting", shifted)
+    # cross runs solve_cross_validated, which calls the module's solve_shooting
+    monkeypatch.setattr(sl, "solve_shooting", shifted)
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, SL_CONFIG)
     assert main(["sl-solve", "--config", cfg, "--out", str(out)]) == 1
@@ -275,6 +277,26 @@ def test_s1_dissect_default_run(tmp_path):
     assert doc["valid"] is True
     assert doc["n"] == 64
     assert 0.0 < doc["bound"] <= doc["true_mu_N"]
+
+
+def test_s1_dissect_exits_1_when_n_exceeds_the_exact_spectrum(tmp_path, monkeypatch,
+                                                              capsys):
+    import tubespec.discrete_hodge as dh
+    from tubespec.dissection import BoundResult
+    real = dh.laplacian_bound
+
+    def too_many(cover, **kwargs):
+        # the circle of 32 nodes has 31 positive exact eigenvalues
+        res = real(cover, **kwargs)
+        return BoundResult(res.mu_bound, res.lambda_bound, 32, res.per_set_terms)
+
+    monkeypatch.setattr(dh, "laplacian_bound", too_many)
+    out = tmp_path / "out"
+    assert main(["s1-dissect", "--override", "n=32", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "verification failure: N exceeds the number of positive exact" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_s1_dissect_override_fraction(tmp_path):

@@ -1,5 +1,6 @@
 """Windowed 1-D eigenvalue solvers: classical fixtures, counts, agreement."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -202,6 +203,29 @@ def test_cross_check_refuses_a_count_mismatch():
     with pytest.raises(RuntimeError, match="FD found 1 eigenvalues, shooting found 2"):
         cross_check(SpectrumResult((1.0,), (1e-6,), "FD", 512),
                     SpectrumResult((1.0, 4.0), (1e-9, 1e-9), "Shooting", 1024), (0.0, 5.0))
+
+
+def test_cross_validated_keeps_the_results_it_checked():
+    # checked holds the FD result and the shooting result seeded by it, field
+    # by field; seeds move the roots' last bits, so an unseeded one differs
+    p = problem_from_json({
+        "m0": 0.0, "m1": 2.0,
+        "q": {"type": "fourier", "period": 2.0 * math.pi, "a0": 1.961,
+              "cos": [0.0, -0.439, -0.014], "sin": [0.501, 0.0, -0.026]},
+        "bc_left": {"kind": "dirichlet"}, "bc_right": {"kind": "robin", "beta": 1.385}})
+    window, tol = (0.0, 12.0), 1e-8
+    res = solve_cross_validated(p, window, grid_n=128, phase_tol=tol)
+    fd = solve_fd(p, 128, window)
+    sh = solve_shooting(p, window, phase_tol=tol, fd_seeds=fd)
+    assert len(res.checked) == 2
+    for got, want in zip(res.checked, (fd, sh)):
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert res.checked[1].eigenvalues != solve_shooting(p, window, phase_tol=tol).eigenvalues
+    # checked changes neither == nor to_json nor repr
+    bare = dataclasses.replace(res, checked=())
+    assert res == bare == cross_check(fd, sh, window)
+    assert res.to_json() == bare.to_json() and "checked" not in res.to_json()
+    assert repr(res) == repr(bare)
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["fd-above", "fd-below"])
@@ -621,16 +645,17 @@ def test_solves_leave_no_reference_cycles(tmp_path):
 
 def test_fd_assembly_rejects_non_finite_potential():
     import tubespec.sturm_liouville as sl
-    # finite on the 65 validation samples, infinite at the node u = 1/6
+    # finite on the 65 validation samples, infinite at u = 1/6: a node of
+    # FD's mesh 24, which solve_fd samples once on its mesh 96
     p = SLProblem(q=lambda u: np.where(np.abs(u - 1.0 / 6.0) < 1e-12, np.inf, 0.0),
                   m0=0.0, m1=1.0, bc_left=DIR, bc_right=DIR)
     with pytest.raises(ValueError, match=r"q is not finite at u = 0\.1666"):
-        sl._fd_arrays(p, 6)
+        solve_fd(p, 24, (0.0, 10.0))
     # a finite Robin beta whose 2 beta / h overflows the diagonal
     p = SLProblem(q=lambda u: 0.0 * u, m0=0.0, m1=1.0,
                   bc_left=BoundaryCondition.robin(1e308), bc_right=DIR)
     with pytest.raises(ValueError, match="non-finite FD assembly"):
-        sl._fd_arrays(p, 6)
+        sl._fd_arrays(p, np.zeros(7), 6)
 
 
 def test_scalar_potential_is_rejected_at_construction():
