@@ -13,12 +13,16 @@ started from the same initial data, in three assertable senses:
     the start a'(m0) < 0 mirrors it.
 
 All three are checked by direct integration of a: classical fixed-step RK4
-run at h and h/2, with the halving disagreement as the acceptance test.  v
-is known exactly, so it is taken from its closed form (a cosh/sinh
-combination), not integrated; the tests check _rk4 against that form over
-the suites' range of k and step.  q maps an array of points to an array, as
+run at h and h/2, with the halving disagreement as the acceptance test.  The
+ODE is linear, so an RK4 step is a 2x2 map: numpy builds the map of every
+cell of both runs at once (_step_maps), the fine run's two half-steps
+across each coarse cell compose into one map, and one Python loop of n
+steps advances both runs (_rk4_pair).  v is known exactly, so it is taken
+from its closed form (a cosh/sinh combination), not integrated; the tests
+check _rk4_pair against that form over the suites' range of k and step, and
+against the stage-form RK4 loop.  q maps an array of points to an array, as
 SLProblem.q does; integrate_pair samples it with three calls (the fine
-nodes, the fine midpoints and the coarse midpoints) before the two RK4 runs
+nodes, the fine midpoints and the coarse midpoints) before the RK4 runs
 start, and the coarse run shares the fine run's even nodes.  The seeded
 suites at the bottom draw randomized valid cases; SUITES describes each in
 one Suite row (A.1: the Riccati and asymptotic slopes of one Robin-start run
@@ -53,14 +57,16 @@ _DENOM_GUARD = 1e-10
 _RICCATI_TOL = 1e-8
 _SLOPE_TOL = 1e-6
 _GROWTH_TOL = 1e-8
-# cases per suite run: each A.1 or A.2 case takes about 3.5 ms (2-core VM),
-# so the limit is about 3.5 s of work
+# cases per suite run: each A.1 or A.2 case takes about 1.6 ms (2-core VM),
+# so the limit is about 1.6 s of work
 MAX_SUITE_COUNT = 1000
 # cells of the coarse RK4 mesh, ceil((m1 - m0) / step); the fine run takes
-# twice as many.  One integrate_pair at 2^18 cells took 0.5 s and raised the
-# peak RSS by 115 MB (2-core VM), both linear in the cells; FD and shooting
+# twice as many.  One integrate_pair at 2^18 cells took 0.3 s and raised the
+# peak RSS by 103 MB (2-core VM), both linear in the cells; FD and shooting
 # stop at the same size (sturm_liouville.MAX_FD_GRID_N)
 MAX_RK4_CELLS = 1 << 18
+# coarse cells whose step maps _rk4_pair turns into Python floats at once
+_LIST_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -106,30 +112,61 @@ class ComparisonCase:
             raise ValueError(f"need inf q > k^2, got inf q - k^2 = {floor}")
 
 
-def _rk4(c_node, c_mid, y0, h: float, n: int) -> np.ndarray:
-    """Fixed-step RK4 for the pair y' = (y', c(u) y) over n cells of width h.
+def _step_maps(c0, cm, c1, h: float) -> tuple:
+    """Each cell's classical RK4 step for the pair y' = (y', c(u) y).
 
-    c_node[i] is c at node i and c_mid[i] at the middle of cell i, so the
-    loop calls nothing per step.  Returns y and y' at the n + 1 nodes as the
-    two rows of one array.
+    c0, cm and c1 hold c at the left node, the middle and the right node of
+    every cell, of step h.  The step is linear in y, so it is the 2x2 map
+    ((t00, t01), (t10, t11)): the stage expressions run on the columns
+    e1 = (1, 0) and e2 = (0, 1) for all cells at once.
     """
     hh = 0.5 * h
-    a, b = y0
-    out_a = [a]
-    out_b = [b]
-    c0 = c_node[0]
-    # k1 = (b, c0 a); 2.0 * x rounds as 2 * x does, without the int operand
-    for cm, c1 in zip(c_mid[:n], c_node[1:n + 1]):
+
+    def step(a, b):
+        # k1 = (b, c0 a); 2.0 * x rounds as 2 * x does, without the int operand
         k1b = c0 * a
         k2a, k2b = b + hh * k1b, cm * (a + hh * b)
         k3a, k3b = b + hh * k2b, cm * (a + hh * k2a)
         k4a, k4b = b + h * k3b, c1 * (a + h * k3a)
-        a += h * (b + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
-        b += h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
-        out_a.append(a)
-        out_b.append(b)
-        c0 = c1
-    return np.array([out_a, out_b])
+        return (a + h * (b + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0,
+                b + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0)
+
+    t00, t10 = step(1.0, 0.0)
+    t01, t11 = step(0.0, 1.0)
+    return t00, t01, t10, t11
+
+
+def _rk4_pair(q_node, q_mid, q_mid_coarse, y0, h: float) -> tuple:
+    """Fixed-step RK4 for y' = (y', q(u) y) over n cells of width h and 2n of h/2.
+
+    q_node holds q at the 2n + 1 fine nodes (coarse node i is fine node 2i),
+    q_mid at the 2n fine midpoints and q_mid_coarse at the n coarse ones.
+    The fine run's two steps across coarse cell i compose into one map,
+    T_{2i+1} T_{2i}, so one loop of n steps advances both runs.  Returns
+    (coarse, fine): y and y' at the n + 1 coarse nodes as the two rows of
+    an array, for each run.
+    """
+    coarse = _step_maps(q_node[:-1:2], q_mid_coarse, q_node[2::2], h)
+    fine = _step_maps(q_node[:-1], q_mid, q_node[1:], 0.5 * h)
+    # x y with x = T_{2i+1} and y = T_{2i}: the odd cell's step after the even one's
+    x00, x01, x10, x11 = (t[1::2] for t in fine)
+    y00, y01, y10, y11 = (t[::2] for t in fine)
+    pair = (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+    ca, cb = fa, fb = y0
+    out_ca, out_cb, out_fa, out_fb = [ca], [cb], [fa], [fb]
+    # the maps become Python floats a block of cells at a time, which keeps
+    # the lists small on long meshes
+    for start in range(0, len(q_mid_coarse), _LIST_BLOCK):
+        for c00, c01, c10, c11, p00, p01, p10, p11 in zip(
+                *(t[start:start + _LIST_BLOCK].tolist() for t in (*coarse, *pair))):
+            ca, cb = c00 * ca + c01 * cb, c10 * ca + c11 * cb
+            fa, fb = p00 * fa + p01 * fb, p10 * fa + p11 * fb
+            out_ca.append(ca)
+            out_cb.append(cb)
+            out_fa.append(fa)
+            out_fb.append(fb)
+    return np.array([out_ca, out_cb]), np.array([out_fa, out_fb])
 
 
 @dataclass(frozen=True)
@@ -208,13 +245,12 @@ def integrate_pair(case: ComparisonCase, mode: str) -> PairTrajectories:
     # turn -0.0 into 0.0
     nodes = case.m0 + np.arange(2 * n + 1) * h_fine
     nodes[0] = case.m0
-    q_node = sample_potential(case.q, nodes).tolist()
-    q_mid = sample_potential(case.q, nodes[:-1] + 0.5 * h_fine).tolist()
-    q_mid_coarse = sample_potential(case.q, nodes[:-1:2] + 0.5 * h).tolist()
+    q_node = sample_potential(case.q, nodes)
+    q_mid = sample_potential(case.q, nodes[:-1] + 0.5 * h_fine)
+    q_mid_coarse = sample_potential(case.q, nodes[:-1:2] + 0.5 * h)
 
-    coarse_a = _rk4(q_node[::2], q_mid_coarse, y0, h, n)
-    # the fine run (step h/2) taken on the coarse grid
-    fine_a = _rk4(q_node, q_mid, y0, h_fine, 2 * n)[:, ::2]
+    # the fine run (step h/2) comes back on the coarse grid
+    coarse_a, fine_a = _rk4_pair(q_node, q_mid, q_mid_coarse, y0, h)
     a, ap = fine_a
     u = np.linspace(case.m0, case.m1, n + 1)
 
@@ -338,6 +374,8 @@ def run_suite(config: dict) -> dict:
     check_fields(config, "suite config", {"suite", "seed", "count"})
     name = config.get("suite", "A.1")
     seed = check_int(config.get("seed", 7), "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not (isinstance(name, str) and name in SUITES):
         raise ValueError(f"unknown suite {name!r} "
                          f"(expected {' or '.join(map(repr, SUITES))})")

@@ -80,6 +80,15 @@ MUTANTS = [
      "v = c1 * np.cosh(k * t) - c2 * np.sinh(k * t)", None),
     ("closed_form_v_c2_unscaled", OC, "c1, c2 = v0, vp0 / k", "c1, c2 = v0, vp0", None),
     ("halving_gate_1e-2", OC, "err_a > 1e-7 * scale_a", "err_a > 1e-2 * scale_a", None),
+    # the step maps: with a constant q every cell has the same map, so only a
+    # varying q sees the order of the fine pair or the coarse cells' end sample
+    ("fine_pair_order", OC,
+     "x00, x01, x10, x11 = (t[1::2] for t in fine)\n"
+     "    y00, y01, y10, y11 = (t[::2] for t in fine)",
+     "x00, x01, x10, x11 = (t[::2] for t in fine)\n"
+     "    y00, y01, y10, y11 = (t[1::2] for t in fine)", None),
+    ("coarse_end_sample", OC, "q_mid_coarse, q_node[2::2], h)",
+     "q_mid_coarse, q_node[:-1:2], h)", None),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -335,6 +335,18 @@ def test_compare_ode_seed_precedence(tmp_path, doc, argv, want):
     assert _read_json(tmp_path, "compare_ode.json")["seed"] == want
 
 
+@pytest.mark.parametrize("argv, seed", [(["--seed", "-5"], -5),
+                                        (["--override", "seed=-1"], -1)])
+def test_compare_ode_refuses_a_negative_seed(tmp_path, capsys, argv, seed):
+    # the refusal names the field, in place of numpy's "expected
+    # non-negative integer"
+    out = tmp_path / "out"
+    assert main(["compare-ode", "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert f"input error: seed must be a non-negative integer, got {seed}\n" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_compare_ode_csv_header_follows_the_suite_table(tmp_path, monkeypatch):
     from tubespec import ode_compare
 

@@ -9,10 +9,12 @@ import pytest
 from tubespec.ode_compare import (
     MAX_RK4_CELLS,
     MODES,
+    _LIST_BLOCK,
     ComparisonCase,
     PairTrajectories,
     _closed_form_v,
-    _rk4,
+    _draw_case,
+    _rk4_pair,
     dirichlet_growth,
     integrate_pair,
     run_suite,
@@ -147,6 +149,15 @@ def test_run_suite_defaults():
     assert run_suite({}) == run_suite({"suite": "A.1", "seed": 7, "count": 20})
 
 
+def test_run_suite_refuses_a_negative_seed():
+    # refused by name before numpy's generator sees it
+    for seed in (-1, -5.0):
+        with pytest.raises(ValueError, match=r"seed must be a non-negative "
+                                             rf"integer, got {int(seed)}$"):
+            run_suite({"seed": seed})
+    assert run_suite({"seed": 0, "count": 1})["seed"] == 0
+
+
 def test_run_suite_dispatch():
     rep = run_suite({"suite": "A.2", "seed": 7, "count": 3})
     assert rep["suite"] == "A.2" and rep["count"] == 3
@@ -203,80 +214,116 @@ def test_a1_suite_integrates_each_case_once(monkeypatch):
 @pytest.mark.parametrize("k", [0.5, 1.7, 3.0])
 @pytest.mark.parametrize("horizon", [10.0, 8.0])
 def test_rk4_matches_closed_form_v(k, horizon):
-    # integrate_pair takes v from _closed_form_v, so this is where _rk4 meets
-    # an exact solution, and the closed form an independent one.  RK4 on
-    # c = k^2 over the suites' spans [0, horizon / k], at their step
+    # integrate_pair takes v from _closed_form_v, so this is where _rk4_pair
+    # meets an exact solution, and the closed form an independent one.  RK4
+    # on c = k^2 over the suites' spans [0, horizon / k], at their step
     # (span / 2048) and at half of it, from the A.2 start and the A.1 starts
     # at alpha = k and alpha = -k / 2
     span = horizon / k
     case = _const_case(k * k + 1.0, k, m1=span, n=2048)
     u = np.linspace(0.0, span, 2049)
+    c = np.full(4096, k * k)
     for y0 in ((0.0, 1.0), (1.0, -k), (1.0, k / 2.0)):
         v, vp = _closed_form_v(case, *y0, u)
         scale = max(1.0, float(np.max(np.abs(v))))
-        coarse, fine = (_rk4([k * k] * (n + 1), [k * k] * n, y0, span / n, n)
-                        for n in (2048, 4096))
-        fine = fine[:, ::2]
+        coarse, fine = _rk4_pair(np.append(c, k * k), c, c[:2048], y0,
+                                 span / 2048)
         for run in (coarse, fine):
             assert np.max(np.abs(run[0] - v)) <= 1e-7 * scale, y0
             assert np.max(np.abs(run[1] - vp)) <= 1e-7 * max(scale, k * scale), y0
         assert np.max(np.abs(coarse - fine)) <= 1e-7 * scale, y0
 
 
-def test_integrate_pair_runs_rk4_on_a_alone(monkeypatch):
-    # one coarse and one fine run of a; v takes no integration
+def _recording_rk4_pair(monkeypatch):
+    """Patch _rk4_pair to keep (q_mid_coarse size, coarse, fine) per call."""
     import tubespec.ode_compare as oc
     calls = []
-    real = oc._rk4
+    real = oc._rk4_pair
 
-    def counting(c_node, c_mid, y0, h, n):
-        calls.append(n)
-        return real(c_node, c_mid, y0, h, n)
+    def recording(q_node, q_mid, q_mid_coarse, y0, h):
+        runs = real(q_node, q_mid, q_mid_coarse, y0, h)
+        calls.append((len(q_mid_coarse), *runs))
+        return runs
 
-    monkeypatch.setattr(oc, "_rk4", counting)
+    monkeypatch.setattr(oc, "_rk4_pair", recording)
+    return calls
+
+
+def test_integrate_pair_runs_rk4_on_a_alone(monkeypatch):
+    # one call of n coarse cells runs a at h and h/2; v takes no integration
+    calls = _recording_rk4_pair(monkeypatch)
     case = _const_case(5.0, 2.0, n=1024)
     for mode in MODES:
         calls.clear()
         integrate_pair(case, mode)
-        assert calls == [1024, 2048]
+        assert [n for n, _, _ in calls] == [1024]
+        assert [run.shape for run in calls[0][1:]] == [(2, 1025)] * 2
+
+
+def _callback_step(f, u: float, u2: float, h: float, a: float, b: float):
+    """One classical RK4 step of y' = f(u, y), y = (a, b), from u to u2 = u + h."""
+    k1a, k1b = f(u, a, b)
+    k2a, k2b = f(u + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+    k3a, k3b = f(u + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+    k4a, k4b = f(u2, a + h * k3a, b + h * k3b)
+    return (a + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0,
+            b + h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0)
+
+
+def _cell_nodes(m0: float, m1: float, n: int):
+    """(u_i, u_{i+1}, h) of the n cells of [m0, m1]; node 0 is m0 itself."""
+    h = (m1 - m0) / n
+    return [(m0 + i * h if i else m0, m0 + (i + 1) * h, h) for i in range(n)]
 
 
 def _callback_rk4(f, y0, m0: float, m1: float, n: int):
-    """Fixed-step RK4 for y' = f(u, y), y a pair; both components as arrays."""
-    h = (m1 - m0) / n
+    """Fixed-step RK4 for y' = f(u, y), y a pair, in stage form; both
+    components at the n + 1 nodes as arrays."""
     a, b = y0
     out = [(a, b)]
-    u = m0
-    for i in range(n):
-        k1a, k1b = f(u, a, b)
-        k2a, k2b = f(u + 0.5 * h, a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = f(u + 0.5 * h, a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        u2 = m0 + (i + 1) * h
-        k4a, k4b = f(u2, a + h * k3a, b + h * k3b)
-        a += h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
-        b += h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0
-        u = u2
+    for u, u2, h in _cell_nodes(m0, m1, n):
+        a, b = _callback_step(f, u, u2, h, a, b)
         out.append((a, b))
     return np.array(out).T
 
 
-def _reference_pair(case, mode):
-    """integrate_pair's fields from the per-stage callback RK4 for a.
+def _point_potential(case):
+    """f(u, a, b) = (b, q(u) a) with q evaluated at one point per call."""
+    def f_a(u, a, b):
+        return (b, float(case.q(np.array([u]))[0]) * a)
+    return f_a
 
-    Each stage evaluates q at its own point, one point per call; v is
-    written out from its closed form.
+
+def _reference_pair(case, mode):
+    """integrate_pair's fields from per-stage callbacks, one point per call.
+
+    Each cell's RK4 map is one stage-form step of e1 = (1, 0) and one of
+    e2 = (0, 1); the fine run's maps compose in pairs, the odd cell's after
+    the even one's, and both runs advance by the same expressions as
+    _rk4_pair.  v is written out from its closed form.
     """
     y0 = (1.0, -case.alpha) if mode == "RobinStart" else (0.0, 1.0)
+    f_a = _point_potential(case)
 
-    def q(u):
-        return float(case.q(np.array([u]))[0])
-
-    def f_a(u, a, b):
-        return (b, q(u) * a)
+    def maps(n):
+        return [(*_callback_step(f_a, u, u2, h, 1.0, 0.0),
+                 *_callback_step(f_a, u, u2, h, 0.0, 1.0))
+                for u, u2, h in _cell_nodes(case.m0, case.m1, n)]
 
     n = max(16, int(math.ceil((case.m1 - case.m0) / case.step)))
-    coarse_a = _callback_rk4(f_a, y0, case.m0, case.m1, n)
-    fine_a = _callback_rk4(f_a, y0, case.m0, case.m1, 2 * n)[:, ::2]
+    fine = maps(2 * n)
+    ca, cb = fa, fb = y0
+    coarse_a, fine_a = [(ca, cb)], [(fa, fb)]
+    # each map is (t00, t10, t01, t11): the images of e1 and of e2
+    for (c00, c10, c01, c11), (y00, y10, y01, y11), (x00, x10, x01, x11) in zip(
+            maps(n), fine[::2], fine[1::2]):
+        p00, p01 = x00 * y00 + x01 * y10, x00 * y01 + x01 * y11
+        p10, p11 = x10 * y00 + x11 * y10, x10 * y01 + x11 * y11
+        ca, cb = c00 * ca + c01 * cb, c10 * ca + c11 * cb
+        fa, fb = p00 * fa + p01 * fb, p10 * fa + p11 * fb
+        coarse_a.append((ca, cb))
+        fine_a.append((fa, fb))
+    coarse_a, fine_a = np.array(coarse_a).T, np.array(fine_a).T
     a, ap = fine_a
     u = np.linspace(case.m0, case.m1, n + 1)
     scale_a = max(1.0, float(np.max(np.abs(a))))
@@ -304,17 +351,23 @@ def _wavy_case(rng, m0, cells, ragged):
         k=k, alpha=float(k * rng.uniform(-0.5, 1.0)), m0=m0, m1=m1, step=step)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_integrate_pair_matches_callback_rk4_bit_for_bit(mode):
+def _fixture_cases():
     rng = np.random.default_rng(2024)
     cases = [_wavy_case(rng, m0, cells, ragged)
              for m0 in (0.0, -0.0, 1.7, -2.3)
              for cells, ragged in ((400, False), (999, True), (3000, False))]
+    # more coarse cells than one _LIST_BLOCK, ending in a partial block
+    cases.append(_wavy_case(rng, 0.3, _LIST_BLOCK + 410, True))
     cases.append(_const_case(4.5, 2.0, m0=-0.0))
     # a q that reads the sign of zero sees node 0 = m0 = -0.0 on both sides
     cases.append(ComparisonCase(q=lambda u: 5.0 + 1e-9 * np.signbit(u), k=2.0,
                                 alpha=0.0, m0=-0.0, m1=8.0, step=8.0 / 1024))
-    for case in cases:
+    return cases
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_integrate_pair_matches_callback_rk4_bit_for_bit(mode):
+    for case in _fixture_cases():
         got = integrate_pair(case, mode)
         reference = _reference_pair(case, mode)
         assert {"mode", *reference} == {f.name for f in fields(PairTrajectories)}
@@ -323,6 +376,48 @@ def test_integrate_pair_matches_callback_rk4_bit_for_bit(mode):
             value = getattr(got, name)
             assert np.array_equal(value, want), (case, name)
             assert np.array_equal(np.signbit(value), np.signbit(want)), (case, name)
+
+
+def _assert_near_stage_form_rk4(calls, f_a, case, mode):
+    # both runs within 1e-12 max(1, |a|) of the stage-form loop, pointwise
+    y0 = (1.0, -case.alpha) if mode == "RobinStart" else (0.0, 1.0)
+    [(n, coarse, fine)] = calls
+    for run, want in ((coarse, _callback_rk4(f_a, y0, case.m0, case.m1, n)),
+                      (fine, _callback_rk4(f_a, y0, case.m0, case.m1, 2 * n)[:, ::2])):
+        bar = 1e-12 * np.maximum(1.0, np.abs(want[0]))
+        assert np.all(np.abs(run - want) <= bar), (case, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rk4_pair_matches_stage_form_rk4_on_the_fixtures(mode, monkeypatch):
+    # _rk4_pair composes per-cell maps and the fine run's pairs, so it rounds
+    # differently from the stage-form loop it replaced, but not by more
+    calls = _recording_rk4_pair(monkeypatch)
+    for case in _fixture_cases():
+        calls.clear()
+        integrate_pair(case, mode)
+        _assert_near_stage_form_rk4(calls, _point_potential(case), case, mode)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 17])
+def test_rk4_pair_matches_stage_form_rk4_on_the_suites(seed, monkeypatch):
+    # every case of both default suites; the oracle's q is math.sin point by
+    # point, which equals the suites' numpy q bit for bit (tested below)
+    calls = _recording_rk4_pair(monkeypatch)
+    for horizon, count, mode in ((10.0, 20, "RobinStart"),
+                                 (8.0, 10, "DirichletStart")):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            case, p = _draw_case(rng, i, horizon)
+
+            def f_a(u, a, b, p=p):
+                q = p["k"] * p["k"] + p["amp"] * (
+                    p["offset"] + math.sin(p["omega"] * u + p["phase"]))
+                return (b, q * a)
+
+            calls.clear()
+            integrate_pair(case, mode)
+            _assert_near_stage_form_rk4(calls, f_a, case, mode)
 
 
 @pytest.mark.parametrize("cells", [64, 257, 2048])

@@ -155,6 +155,29 @@ def test_mesh_rule_solves_a_window_of_dozens_of_eigenvalues():
     assert_within_oracle(res, p, (0.0, 40.0))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 24: the Pruefer angle of (a, a') is badly scaled at large "
+    "lambda (the phase-scaling FOUND line of 8eff1db in CHANGES.md), so "
+    "rounding that the Richardson bars cannot see moves the eigenvalues"))
+def test_shooting_bars_cover_the_error_at_large_lambda():
+    # shooting alone, as sl-solve --method shooting runs it; the Dirichlet
+    # eigenvalues of q = c on [0, pi] are k^2 + c.  Up to item 24, 41 of the
+    # 127 at q = 0 miss their bars (worst 15x, k = 65) and 4 of the 5 at
+    # q = 0.3 (worst 4.2x)
+    misses = []
+    for c, window in ((0.0, (0.5, 16383.5)), (0.3, (9000.0, 10000.0))):
+        p = SLProblem(q=lambda u, c=c: np.full_like(u, c), m0=0.0, m1=math.pi,
+                      bc_left=DIR, bc_right=DIR)
+        res = solve_shooting(p, window)
+        exact = [k * k + c for k in range(1, 129)
+                 if window[0] < k * k + c <= window[1]]
+        assert len(res.eigenvalues) == len(exact)
+        misses += [(want, got, bar) for got, want, bar
+                   in zip(res.eigenvalues, exact, res.error_estimate)
+                   if abs(got - want) > bar]
+    assert not misses
+
+
 def test_methods_agree_on_smooth_potentials():
     rng = np.random.default_rng(5)
     for trial in range(3):
