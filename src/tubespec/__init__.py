@@ -24,7 +24,6 @@ from .dissection import (
 )
 from .discrete_hodge import (
     DiracComplexMatrix,
-    build_circle_complex,
     build_interval_complex,
     s1_case_study,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TubeGeometry",
     "TubeSpectrum",
     "berger_scaling",
-    "build_circle_complex",
     "build_interval_complex",
     "compute_N",
     "count_below",

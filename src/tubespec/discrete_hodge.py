@@ -20,8 +20,11 @@ gone); Relative removes the endpoint nodes instead (Dirichlet on
 functions, the constant 1-form survives in the kernel).
 
 The S^1 case study at the bottom feeds the dissection bound with data
-measured on these complexes and compares it against the true spectrum of
-the full circle, which is the end-to-end validity oracle for the bound.
+measured on these complexes (two dense eigensolves, arc and overlap) and
+compares it against the true spectrum of the full circle, which is the
+end-to-end validity oracle for the bound.  The circle's D D^T is circulant,
+so that spectrum comes from its closed form; build_circle_complex builds
+the circle itself, for the tests that check the closed form against it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .dissection import (CoverSpec, c_rho_from_partition, cover_to_json,
 
 __all__ = [
     "DiracComplexMatrix",
-    "build_circle_complex",
     "build_interval_complex",
     "exact_positive_spectrum",
     "s1_case_study",
@@ -45,7 +47,8 @@ __all__ = [
 # the zero cutoff of P's eigenvalues
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
-# s1_case_study diagonalizes dense n x n Gram blocks: O(n^2) memory, O(n^3) time
+# s1_case_study diagonalizes dense Gram blocks, the largest the arc's of about
+# n/2 + 2e rows: O(n^2) memory, O(n^3) time
 MAX_CASE_STUDY_N = 2048
 CIRCLE_LENGTH = 2.0 * math.pi
 
@@ -161,6 +164,20 @@ def harmonic_dimension(cx: DiracComplexMatrix) -> int:
 # S^1 dissection case study
 
 
+def _circle_exact_spectrum(n: int) -> np.ndarray:
+    """Sorted positive exact spectrum of build_circle_complex(n), in closed form.
+
+    The circle's D D^T is circulant, so its eigenvalues are
+    4 sin^2(pi k / n) / step^2 for k = 1..n-1, with step = CIRCLE_LENGTH / n.
+    Each is taken at min(k, n - k): the float sin of an angle near pi is up
+    to 1e-13 off, so each pair of twins comes out bit-equal and within a few
+    ulp of exact.
+    """
+    step = CIRCLE_LENGTH / n
+    k = np.arange(1, n)
+    return np.sort(4.0 * np.sin(np.pi * np.minimum(k, n - k) / n) ** 2 / step**2)
+
+
 def _smoothstep(y: float) -> float:
     return 3.0 * y**2 - 2.0 * y**3
 
@@ -176,8 +193,9 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
     one exact spectrum per complex; C_rho is c_rho_from_partition of an
     explicit smoothstep partition of unity, whose periodic forward
     differences are the circle's d.  The report compares the assembled bound
-    against the true mu_N of the circle from its full exact spectrum, so the
-    study runs three dense eigensolves: arc, overlap component and circle.
+    against the true mu_N of the circle, read off the closed form of its
+    circulant exact spectrum, so the study runs two dense eigensolves: arc
+    and overlap component.
     """
     if n < 32:
         raise ValueError("case study needs n >= 32")
@@ -192,8 +210,7 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
     if e < 1 or n // 2 + 2 * e >= n:
         raise ValueError(f"degenerate overlap: e={e} for n={n}")
 
-    circle = build_circle_complex(n)
-    step = circle.step
+    step = CIRCLE_LENGTH / n
     half = n // 2
 
     # arcs as interval complexes: U_0 covers nodes [-e, half + e]
@@ -227,7 +244,7 @@ def s1_case_study(n: int, arcs_overlap_fraction: float) -> dict:
         h_pair={(0, 1): h_overlap_total},
     )
     bound = laplacian_bound(cover)
-    true_exact = exact_positive_spectrum(circle)
+    true_exact = _circle_exact_spectrum(n)
     if bound.N > true_exact.size:
         raise RuntimeError("N exceeds the number of positive exact eigenvalues")
     mu_N_true = float(true_exact[bound.N - 1])

@@ -1,4 +1,4 @@
-"""Mutation check of the count, certificate and comparison-ODE paths: tier-1 must fail on each mutant.
+"""Mutation check of the count, certificate, ODE and S^1 closed-form paths: tier-1 must fail on each mutant.
 
 Run by hand from the repository root; pytest does not collect this file:
 
@@ -29,6 +29,7 @@ SL = "src/tubespec/sturm_liouville.py"
 TM = "src/tubespec/torus_modes.py"
 TS = "src/tubespec/tube_spectrum.py"
 OC = "src/tubespec/ode_compare.py"
+DH = "src/tubespec/discrete_hodge.py"
 
 # (name, file, old text, new text, why the mutant is equivalent or None)
 MUTANTS = [
@@ -89,6 +90,13 @@ MUTANTS = [
      "    y00, y01, y10, y11 = (t[1::2] for t in fine)", None),
     ("coarse_end_sample", OC, "q_mid_coarse, q_node[2::2], h)",
      "q_mid_coarse, q_node[:-1:2], h)", None),
+    # the S^1 study takes the circle's true mu_N from its circulant closed
+    # form, so the tests must catch a wrong angle, order, twin or index
+    ("circle_angle_over_2n", DH, "np.minimum(k, n - k) / n)", "np.minimum(k, n - k) / (2 * n))",
+     None),
+    ("circle_unsorted", DH, "return np.sort(4.0 * np.sin(", "return (4.0 * np.sin(", None),
+    ("circle_without_min", DH, "np.minimum(k, n - k) / n)", "k / n)", None),
+    ("mu_N_index_N", DH, "true_exact[bound.N - 1]", "true_exact[bound.N]", None),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

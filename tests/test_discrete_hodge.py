@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +19,7 @@ from checks import (
 )
 from tubespec.discrete_hodge import (
     DiracComplexMatrix,
+    _circle_exact_spectrum,
     build_circle_complex,
     build_interval_complex,
     exact_positive_spectrum,
@@ -284,11 +286,15 @@ def test_s1_case_study_matches_closed_forms(n, frac):
     def string(nodes):  # lowest free-string eigenvalue on `nodes` nodes
         return 4.0 * math.sin(math.pi / (2 * nodes)) ** 2 / h**2
 
-    circle = sorted(4.0 * math.sin(math.pi * k / n) ** 2 / h**2 for k in range(1, n))
     assert rep["mu_arcs"] == pytest.approx(string(rep["arc_nodes"]), rel=1e-10)
     assert rep["mu_overlap"] == pytest.approx(
         string(rep["overlap_component_nodes"]), rel=1e-10)
-    assert rep["true_mu_N"] == pytest.approx(circle[rep["N"] - 1], rel=1e-10)
+    # mu_N is the ceil(N/2)-th distinct circle eigenvalue, each one doubled;
+    # the closed form the study uses is within 4 ulp of a 40-digit evaluation
+    k = (rep["N"] + 1) // 2
+    with mpmath.workdps(40):
+        want = float(4 * mpmath.sin(mpmath.pi * k / n) ** 2 / (2 * mpmath.pi / n) ** 2)
+    assert abs(rep["true_mu_N"] - want) <= 4 * math.ulp(want)
     # the constant function spans the kernel of each Absolute interval
     assert rep["harmonic_dim_arcs"] == 1
     assert rep["harmonic_dim_overlap_total"] == 2
@@ -305,7 +311,8 @@ def test_s1_case_study_matches_closed_forms(n, frac):
 
 
 def test_s1_case_study_runs_one_eigensolve_per_complex(monkeypatch):
-    # arc, overlap component and circle: each spectrum gives mu and h at once
+    # arc and overlap component: each spectrum gives mu and h at once; the
+    # circle's spectrum comes from its closed form, with no eigensolve
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -317,7 +324,49 @@ def test_s1_case_study_runs_one_eigensolve_per_complex(monkeypatch):
     rep = s1_case_study(1024, 0.125)
     assert rep["valid"]
     e = rep["edge_extension"]
-    assert calls == [(512 + 2 * e, 512 + 2 * e), (2 * e, 2 * e), (1024, 1024)]
+    assert calls == [(512 + 2 * e, 512 + 2 * e), (2 * e, 2 * e)]
+
+
+@pytest.mark.parametrize("n", [64, 1536, 1920])
+def test_circle_closed_form_matches_a_high_precision_evaluation(n):
+    # at n = 1536 and 1920, sin(pi (n - 2) / n) in floats is about 1e-13
+    # off sin(2 pi / n), hundreds of ulp of mu_3; each eigenvalue must be
+    # within 8 ulp of its true value (the worst seen is 5)
+    got = _circle_exact_spectrum(n)
+    with mpmath.workdps(40):
+        step = 2 * mpmath.pi / n
+        want = sorted(float(4 * mpmath.sin(mpmath.pi * k / n) ** 2 / step**2)
+                      for k in range(1, n))
+    assert all(abs(g - w) <= 8 * math.ulp(w) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("N", [3, 4, 31])
+def test_s1_true_mu_N_is_the_Nth_circle_eigenvalue(N, monkeypatch):
+    # the circle of 32 nodes has 31 positive exact eigenvalues, each value
+    # but the top one 4 / step^2 (k = n/2) twice: mu_3 = mu_4 and mu_31 is the top
+    import tubespec.discrete_hodge as dh
+    real = dh.laplacian_bound
+
+    def with_N(cover, **kwargs):
+        res = real(cover, **kwargs)
+        return dataclasses.replace(res, N=N)
+
+    monkeypatch.setattr(dh, "laplacian_bound", with_N)
+    rep = s1_case_study(32, 0.25)
+    step = 2.0 * math.pi / 32
+    mu_twin_2 = 4.0 * math.sin(2 * math.pi / 32) ** 2 / step**2
+    want = {3: mu_twin_2, 4: mu_twin_2, 31: 4.0 / step**2}[N]
+    assert rep["N"] == N
+    assert rep["true_mu_N"] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_circle_closed_form_matches_the_dense_exact_spectrum(n):
+    # the dense Hodge path referees the closed form that s1_case_study uses
+    want = exact_positive_spectrum(build_circle_complex(n))
+    got = _circle_exact_spectrum(n)
+    assert got.size == want.size == n - 1
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_s1_case_study_builds_no_graded_matrix(monkeypatch):
